@@ -7,11 +7,9 @@ hypergeometric expansions with convergence-domain tests, numerical
 monodromy along explicit loops, q-set inclusion checks, and the sixth
 Painleve correspondence.
 
-The path integrator runs on a compiled core when the extension built,
-with a pure-Python twin otherwise; ``backend()`` reports which.
+The path integrator is pure Python; ``backend()`` reports its name.
 """
 
-from ._kernel import backend_name as backend
 from .conditions import (
     DegeneracyReport,
     analyze_connection,
@@ -89,6 +87,12 @@ from .spectra import (
 from .takemura import InclusionReport, inclusion_check
 
 __version__ = "0.1.0"
+
+
+def backend() -> str:
+    """Name of the path propagator backend; always ``"python"``."""
+    return "python"
+
 
 __all__ = [
     "DegeneracyReport", "analyze_connection", "check_lr", "check_was",

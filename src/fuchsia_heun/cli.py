@@ -9,9 +9,9 @@ Exit status: 0 on success, 2 when a verified claim fails numerically
 close to a pole), 1 on usage errors (unknown command, malformed input,
 non-positive tolerances, hypothesis violations).
 
-Complex numbers are written ``re,im`` on the command line and as two-element
-``[re, im]`` arrays in JSON.  ``FUCHSIA_HEUN_THREADS`` caps the thread count
-of the underlying linear algebra.
+Complex numbers are written ``re,im`` on the command line (a leading minus
+is fine, also after a space: ``--a -2,1``) and as two-element ``[re, im]``
+arrays in JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +35,7 @@ from .painleve import IsomonodromicData, ThetaData
 from .spectra import SpectrumViolationError
 
 _GRID_COMMANDS = ("expand", "domain")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 class UsageError(ValueError):
@@ -242,6 +243,8 @@ def _cmd_domain(cfg: RunConfig) -> str:
         raise UsageError("domain requires --a")
     which = cfg.params.get("which", "omega0")
     samples = cfg.params.get("samples", 256)
+    if samples < 1:
+        raise UsageError("--samples must be a positive integer")
     dom = ConvergenceDomain(a)
     pts = dom.boundary_points(which, samples)
     rows = [[p.real, p.imag, conformal_ratio(p)] for p in pts]
@@ -396,16 +399,21 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("FUCHSIA_HEUN_THREADS")
-    if not raw:
-        return
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"FUCHSIA_HEUN_THREADS={raw!r} is not an integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+def _join_negative_values(argv):
+    """Glue ``--flag -2,1`` into ``--flag=-2,1``.
+
+    argparse takes a token that starts with '-' and is not a plain number
+    for an option, so a negative complex value after a space would be
+    refused.
+    """
+    out = []
+    for tok in argv:
+        if (out and _NEGATIVE_VALUE.match(tok) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
@@ -422,8 +430,9 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
-        ns = _build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        ns = _build_parser().parse_args(_join_negative_values(argv))
         return run(_config_from_args(ns))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -357,11 +357,6 @@ def _entry_numerator(c: FuchsianConnection, i: int, j: int) -> CPoly:
     return num
 
 
-def _entry_rational(c: FuchsianConnection, i: int, j: int) -> CRat:
-    """Entry (i,j) of R(x) as a CRat over the common denominator."""
-    return CRat(_entry_numerator(c, i, j), CPoly.from_roots(list(c.points)))
-
-
 def _infinity_exponents(p1: CRat, p0: CRat):
     """Exponents at infinity for y'' + p1 y' + p0 y = 0 (Fuchsian case).
 

@@ -12,12 +12,15 @@ singular points the leading hypergeometric factor merges:
   beta - epsilon closes one-sidedly at n = 0).
 * MERGE_AT_1: sum C_n (x-1)^n 2F1(alpha+n, beta+n; gamma; x).
 
-The X_m of the first family obey a three-term recursion whose row
-coefficients K_m, L_m, M_m are kept in two forms: the published form
-has a "- alpha beta q" term in L_m, while direct substitution of the
-expansion into the operator gives "- q".  Both are available through
-`lm_form` ("printed" and "oracle"); the default is the form the
-substitution oracle validates.
+The coefficients of each family obey a three-term recursion
+K_m X_{m-1} + L_m X_m + M_m X_{m+1} = 0 whose rows are closed forms in
+the parameters.  Only the diagonal depends on the accessory parameter,
+L_m = Lbar_m - q, so the q-free rows are built once per parameter set
+as arrays and shared by the sequence, the continued fraction, the
+terminating matrix and the sums.  The published form of the first
+family has "- alpha beta q" in L_m where direct substitution of the
+expansion into the operator gives "- q"; `lm_form` selects "printed"
+or "oracle", the default, which the substitution oracle validates.
 
 Accessory values are characterised three ways here and in `frobenius`
 and `spectra`; their agreement is the package's central cross-check.
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .connection import HeunParameters
-from .hypergeom import HypergeometricParameters, d_gauss_2f1, gauss_2f1
+from .hypergeom import HypergeometricParameters, gauss_2f1
 from .numkit import (
     PreconditionError,
     ROOT_TOL,
@@ -42,8 +45,6 @@ from .numkit import (
 
 CF_DEFAULT_DEPTH = 48
 CLUSTER_RADIUS = 1e-6
-LADDER_FIT_RADIUS = 0.28
-LADDER_RESIDUAL_TOL = 1e-9
 DEGENERATE_K_TOL = 1e-12
 
 __all__ = [
@@ -114,61 +115,143 @@ def _w(h: HeunParameters) -> complex:
     return h.alpha + h.beta - h.delta
 
 
-def _check_denominator(h: HeunParameters, offsets, m: int) -> None:
-    w = _w(h)
-    scale = max(1.0, abs(w) + 2.0 * m + 2.0)
-    for t in offsets:
-        if abs(w + t) <= 1e-10 * scale:
-            raise ResonanceError(
-                "denominator alpha+beta-delta%+d vanishes (value %r)"
-                % (t, w + t))
+def _denominator(base: complex, offsets: np.ndarray, name: str) -> np.ndarray:
+    """base + offsets, raising ResonanceError where an entry vanishes."""
+    den = base + offsets
+    scale = np.maximum(1.0, abs(base) + np.abs(offsets) + 1.0)
+    bad = np.abs(den) <= 1e-10 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ResonanceError("denominator %s%+d vanishes (value %r)"
+                             % (name, int(offsets[i]), complex(den[i])))
+    return den
 
 
-def _khat(h: HeunParameters, m: int) -> complex:
-    """Component of the operator image of phi_m along phi_{m+1}."""
-    w = _w(h)
-    _check_denominator(h, (2 * m, 2 * m + 1), m)
-    return (h.a * (h.alpha + m) * (h.beta + m) * (h.epsilon + m) * (w + m)
-            / ((w + 2 * m) * (w + 2 * m + 1)))
-
-
-def _mhat(h: HeunParameters, m: int) -> complex:
-    """Component of the operator image of phi_m along phi_{m-1}."""
-    if m == 0:
-        return 0j
-    w = _w(h)
-    _check_denominator(h, (2 * m - 1, 2 * m), m)
-    return (h.a * m * (h.alpha - h.delta + m) * (h.beta - h.delta + m)
-            * (h.gamma + m - 1) / ((w + 2 * m - 1) * (w + 2 * m)))
-
-
-def _lbar(h: HeunParameters, m: int) -> complex:
-    """q-free diagonal component of the operator image of phi_m."""
-    w = _w(h)
+def _rows_merge_at_0(h: HeunParameters, n: int):
     al, be, ga, de, ep, a = h.alpha, h.beta, h.gamma, h.delta, h.epsilon, h.a
-    _check_denominator(h, (2 * m - 1, 2 * m + 1) if m >= 1 else (2 * m + 1,), m)
-    if m >= 1:
-        t1 = a * m * (ga + m - 1) * (
-            ((al + m) * (al - de + m + 1) + (be + m) * (be - de + m + 1))
-            / ((w + 2 * m - 1) * (w + 2 * m + 1))
-            - 1.0 / (w + 2 * m - 1))
-    else:
-        t1 = 0j
-    return (t1 - m * (w + m)
-            + a * (al * be * (ga + 2 * m) - ep * m * (de - m - 1)) / (w + 2 * m + 1))
+    w = _w(h)
+    name = "alpha+beta-delta"
+    # K_j is the phi_{j-1} -> phi_j coefficient Khat_{j-1}
+    k = np.arange(n)
+    khat = (a * (al + k) * (be + k) * (ep + k) * (w + k)
+            / (_denominator(w, 2 * k, name) * _denominator(w, 2 * k + 1, name)))
+    # M_j is the phi_{j+1} -> phi_j coefficient Mhat_{j+1}
+    m = np.arange(1, n + 2)
+    M = (a * m * (al - de + m) * (be - de + m) * (ga + m - 1)
+         / (_denominator(w, 2 * m - 1, name) * _denominator(w, 2 * m, name)))
+    j = np.arange(n + 1)
+    up = _denominator(w, 2 * j + 1, name)
+    Lbar = (-j * (w + j)
+            + a * (al * be * (ga + 2 * j) - ep * j * (de - j - 1)) / up)
+    j, up = j[1:], up[1:]
+    lo = _denominator(w, 2 * j - 1, name)
+    Lbar[1:] += a * j * (ga + j - 1) * (
+        ((al + j) * (al - de + j + 1) + (be + j) * (be - de + j + 1)) / (lo * up)
+        - 1.0 / lo)
+    return np.concatenate(([0j], khat)), Lbar, M
 
 
-def _row_klm(h: HeunParameters, m: int, q: complex, lm_form: str):
-    if lm_form not in ("oracle", "printed"):
-        raise PreconditionError("lm_form must be 'oracle' or 'printed'")
-    K = _khat(h, m - 1) if m >= 1 else 0j
-    M = _mhat(h, m + 1)
-    Lbar = _lbar(h, m)
+def _rows_merge_at_1(h: HeunParameters, n: int):
+    # ladder (D - q) u_k = A_k u_{k+1} + B_k u_k + C_k u_{k-1} for
+    # u_k = (x-1)^k 2F1(alpha+k, beta+k; gamma; x); B_k + q follows from
+    # the ladder at x = 0, where u_k = (-1)^k
+    al, be, ga, de, ep, a = h.alpha, h.beta, h.gamma, h.delta, h.epsilon, h.a
+    s = de + ep
+    name = "delta+epsilon"
+    k = np.arange(n + 1)
+    A = (-(a - 1.0) * (al + k) * (be + k) * (ep + k) * (s + k - 1)
+         / (_denominator(s, 2 * k - 1, name) * _denominator(s, 2 * k, name)))
+    k = np.arange(1, n + 2)
+    C = (-(a - 1.0) * k * (al - ga + k) * (de + k - 1) * (be - ga + k)
+         / (_denominator(s, 2 * k - 2, name) * _denominator(s, 2 * k - 1, name)))
+    j = np.arange(n + 1)
+    Lbar = a * ((al + j) * (be + j) - j * ga) + A + np.concatenate(([0j], C[:n]))
+    return np.concatenate(([0j], A[:n])), Lbar, C
+
+
+def _rows_merge_at_infinity(h: HeunParameters, n: int):
+    # ladder for u_k = 2F1(lam+k, mu-k; gamma; x), lam = alpha,
+    # mu = beta - epsilon; at x = 0 every u_k is 1
+    al, be, ga, de, ep, a = h.alpha, h.beta, h.gamma, h.delta, h.epsilon, h.a
+    lam, mu = al, be - ep
+    d = lam - mu
+    name = "alpha-beta+epsilon"
+    k = np.arange(n + 1)
+    A = (-(al + k) * (ep + k) * (al - de + k + 1) * (d + k)
+         / (_denominator(d, 2 * k, name) * _denominator(d, 2 * k + 1, name)))
+    k = np.arange(1, n + 2)
+    C = (-k * (al - ga + k) * (k - mu) * (al - be + k)
+         / (_denominator(d, 2 * k - 1, name) * _denominator(d, 2 * k, name)))
+    j = np.arange(n + 1)
+    Lbar = a * (lam + j) * (mu - j) - A - np.concatenate(([0j], C[:n]))
+    return np.concatenate(([0j], A[:n])), Lbar, C
+
+
+def _row_table(h: HeunParameters, v: ExpansionVariant, n: int):
+    """q-free rows 0..n of the variant's coefficient recurrence.
+
+    Returns complex arrays (K, Lbar, M) such that row j reads
+    K_j X_{j-1} + (Lbar_j - q) X_j + M_j X_{j+1} = 0, with K_0 = 0; the
+    accessory parameter enters the diagonal only (see `_q_scale`).  Every
+    entry is a closed form in the parameters; a vanishing denominator
+    raises ResonanceError.
+    """
+    if v is ExpansionVariant.MERGE_AT_0:
+        return _rows_merge_at_0(h, n)
+    if v is ExpansionVariant.MERGE_AT_1:
+        return _rows_merge_at_1(h, n)
+    return _rows_merge_at_infinity(h, n)
+
+
+def _q_scale(h: HeunParameters, lm_form: str) -> complex:
+    """Factor s with L_m = Lbar_m - s q for the requested L-form."""
     if lm_form == "oracle":
-        L = Lbar - q
-    else:
-        L = Lbar - h.alpha * h.beta * q
-    return K, L, M
+        return 1.0
+    if lm_form == "printed":
+        return h.alpha * h.beta
+    raise PreconditionError("lm_form must be 'oracle' or 'printed'")
+
+
+def _lists(rows):
+    # plain Python complex arithmetic is several times faster than numpy
+    # scalars in the sequential recursions below
+    return tuple(r.tolist() for r in rows)
+
+
+def _forward(rows, qd: complex, N: int):
+    """X_0..X_N from X_0 = 1 by forward recursion; qd is s q (`_q_scale`)."""
+    K, Lbar, M = rows
+    X = [1.0 + 0j]
+    for m in range(N):
+        if M[m] == 0:
+            raise BreakdownError(m, "M coefficient vanishes")
+        prev = K[m] * X[m - 1] if m else 0j
+        X.append(-(prev + (Lbar[m] - qd) * X[m]) / M[m])
+    return X
+
+
+def _backward_ratios(rows, qd: complex):
+    """Ratios r_m = X_{m+1}/X_m, m = 0..top, of the minimal solution.
+
+    Miller's backward recursion r_{m-1} = -K_m / (Lbar_m - qd + M_m r_m)
+    from r_top = 0 over rows 1..top, the last row of the table (Gautschi,
+    SIAM Rev. 9, 1967).
+    """
+    K, Lbar, M = rows
+    top = len(Lbar) - 1
+    r = [0j] * (top + 1)
+    for m in range(top, 0, -1):
+        den = Lbar[m] - qd + M[m] * r[m]
+        if den == 0:
+            raise BreakdownError(m, "continued-fraction tail vanishes")
+        r[m - 1] = -K[m] / den
+    return r
+
+
+def _cf_value(rows, qd: complex) -> complex:
+    """Continued fraction truncated at the depth of the table."""
+    _K, Lbar, M = rows
+    return (Lbar[0] - qd) / M[0] + _backward_ratios(rows, qd)[0]
 
 
 def klm(h: HeunParameters, m: int, lm_form: str = "oracle") -> ErdelyiCoefficients:
@@ -182,26 +265,18 @@ def klm(h: HeunParameters, m: int, lm_form: str = "oracle") -> ErdelyiCoefficien
     """
     if m < 0:
         raise PreconditionError("row index must be nonnegative")
-    K, L, M = _row_klm(h, m, h.q, lm_form)
-    return ErdelyiCoefficients(index=m, K=K, L=L, M=M)
+    s = _q_scale(h, lm_form)
+    K, Lbar, M = _row_table(h, ExpansionVariant.MERGE_AT_0, m)
+    return ErdelyiCoefficients(index=m, K=complex(K[m]),
+                               L=complex(Lbar[m] - s * h.q), M=complex(M[m]))
 
 
 def recurrence_sequence(h: HeunParameters, q: complex, N: int,
                         lm_form: str = "oracle"):
     """X_0..X_N with X_0 = 1, L_0 X_0 + M_0 X_1 = 0, then the three-term rows."""
-    X = [1.0 + 0j]
-    if N == 0:
-        return X
-    K0, L0, M0 = _row_klm(h, 0, q, lm_form)
-    if abs(M0) == 0.0:
-        raise BreakdownError(0, "M coefficient vanishes")
-    X.append(-L0 / M0)
-    for m in range(1, N):
-        Km, Lm, Mm = _row_klm(h, m, q, lm_form)
-        if abs(Mm) == 0.0:
-            raise BreakdownError(m, "M coefficient vanishes")
-        X.append(-(Km * X[m - 1] + Lm * X[m]) / Mm)
-    return X
+    s = _q_scale(h, lm_form)
+    rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, max(N - 1, 0)))
+    return _forward(rows, s * q, N)
 
 
 def continued_fraction(h: HeunParameters, q: complex, depth: int,
@@ -216,43 +291,28 @@ def continued_fraction(h: HeunParameters, q: complex, depth: int,
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    rows = [_row_klm(h, m, q, lm_form) for m in range(depth)]
-    for m, (_K, _L, M) in enumerate(rows):
-        if abs(M) == 0.0:
-            raise BreakdownError(m, "M coefficient vanishes")
-    # T_i = (K_i/M_i) / (L_i/M_i - T_{i+1}), truncated with T_depth = 0
-    T = 0j
-    for m in range(depth - 1, 0, -1):
-        K, L, M = rows[m]
-        den = L / M - T
-        if den == 0:
-            raise BreakdownError(m, "continued-fraction tail vanishes")
-        T = (K / M) / den
-    _K0, L0, M0 = rows[0]
-    return L0 / M0 - T
+    s = _q_scale(h, lm_form)
+    rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, depth - 1))
+    zero = np.flatnonzero(np.asarray(rows[2]) == 0)
+    if zero.size:
+        raise BreakdownError(int(zero[0]), "M coefficient vanishes")
+    return _cf_value(rows, s * q)
 
 
 def terminating_accessory_matrix(h: HeunParameters) -> np.ndarray:
     """Tridiagonal matrix whose eigenvalues give the terminating q set.
 
     Requires epsilon = -m (within 1e-8).  Row i of the recursion with the
-    q-term split off reads Khat_{i-1} X_{i-1} + Lbar_i X_i +
-    Mhat_{i+1} X_{i+1} = q X_i for the oracle form of L; since
-    Khat_m = 0 when epsilon = -m, rows 0..m close on themselves.
+    q-term split off reads K_i X_{i-1} + Lbar_i X_i + M_i X_{i+1} = q X_i
+    for the oracle form of L; since K_{m+1} = 0 when epsilon = -m, rows
+    0..m close on themselves.
     """
     mi = near_integer(-h.epsilon, tol=1e-8)
     if mi is None or mi < 0:
         raise PreconditionError("epsilon = %r is not a non-positive integer"
                                 % (h.epsilon,))
-    n = mi + 1
-    T = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        T[i, i] = _lbar(h, i)
-        if i - 1 >= 0:
-            T[i, i - 1] = _khat(h, i - 1)
-        if i + 1 < n:
-            T[i, i + 1] = _mhat(h, i + 1)
-    return T
+    K, Lbar, M = _row_table(h, ExpansionVariant.MERGE_AT_0, mi)
+    return np.diag(Lbar) + np.diag(K[1:], -1) + np.diag(M[:-1], 1)
 
 
 def terminating_accessory_set(h: HeunParameters, lm_form: str = "oracle"):
@@ -273,15 +333,15 @@ def terminating_accessory_set(h: HeunParameters, lm_form: str = "oracle"):
                   key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
-def _cf_newton(h, q0, depth, lm_form, maxiter=60):
+def _cf_newton(rows, qscale, q0, maxiter=60):
     """Newton iteration on the truncated continued fraction; None on failure."""
     z = complex(q0)
     for _ in range(maxiter):
         try:
-            f = continued_fraction(h, z, depth, lm_form)
+            f = _cf_value(rows, qscale * z)
             step_h = 1e-6 * max(1.0, abs(z))
-            fp = (continued_fraction(h, z + step_h, depth, lm_form)
-                  - continued_fraction(h, z - step_h, depth, lm_form)) / (2 * step_h)
+            fp = (_cf_value(rows, qscale * (z + step_h))
+                  - _cf_value(rows, qscale * (z - step_h))) / (2 * step_h)
         except (BreakdownError, ZeroDivisionError):
             return None
         if fp == 0 or not np.isfinite(fp) or not np.isfinite(f):
@@ -315,6 +375,7 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
     -------
     list of complex, sorted lexicographically.
     """
+    qscale = _q_scale(h, lm_form)
     extra_seeds = []
     if box is None:
         T = terminating_accessory_matrix(h)
@@ -343,12 +404,21 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
     re_lo, re_hi, im_lo, im_hi = box
     if re_lo > re_hi or im_lo > im_hi:
         return []
+    # the rows are q-free, so each depth's table is built once and shared
+    # by every fraction evaluation at that depth
+    tables = {}
+
+    def rows_at(d):
+        if d not in tables:
+            tables[d] = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, d - 1))
+        return tables[d]
+
     # M is q-independent, so a vanishing M kills every seed; fail loudly
-    for m in range(depth):
-        if abs(_row_klm(h, m, 0.0, lm_form)[2]) == 0.0:
-            raise BreakdownError(
-                m, "M coefficient vanishes identically; the three-term "
-                   "fraction degenerates (beta - delta or gamma integral)")
+    zero = np.flatnonzero(np.asarray(rows_at(depth)[2]) == 0)
+    if zero.size:
+        raise BreakdownError(
+            int(zero[0]), "M coefficient vanishes identically; the three-term "
+            "fraction degenerates (beta - delta or gamma integral)")
     n_grid = 11
     res = np.linspace(re_lo, re_hi, n_grid) if re_hi > re_lo else np.array([re_lo])
     ims = np.linspace(im_lo, im_hi, n_grid) if im_hi > im_lo else np.array([im_lo])
@@ -361,7 +431,7 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
     seeds.extend(extra_seeds)
     raw = []
     for seed in seeds:
-        z = _cf_newton(h, seed, depth, lm_form)
+        z = _cf_newton(rows_at(depth), qscale, seed)
         if z is None:
             continue
         if not (re_lo - pad_re <= z.real <= re_hi + pad_re
@@ -378,14 +448,14 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
             clusters.append((z, 1))
     roots = []
     for center, _count in clusters:
-        z1 = _cf_newton(h, center, 2 * depth, lm_form)
+        z1 = _cf_newton(rows_at(2 * depth), qscale, center)
         if z1 is None:
             raise NonConvergenceError(
                 "no convergence under depth doubling near q = %r" % (center,))
         if abs(z1 - center) <= tol * max(1.0, abs(center)):
             roots.append(z1)
             continue
-        z2 = _cf_newton(h, z1, 4 * depth, lm_form)
+        z2 = _cf_newton(rows_at(4 * depth), qscale, z1)
         if z2 is not None and abs(z2 - z1) <= tol * max(1.0, abs(z1)):
             roots.append(z2)
         # otherwise: truncation artifact, dropped
@@ -466,7 +536,8 @@ class ConvergenceDomain:
             raise PreconditionError("unknown domain %r" % (which,))
         if level >= 1.0 - 1e-12:
             span = max(4.0, 2.0 * abs(self.a))
-            return [complex(1.0 + span * j / (n - 1), 0.0) for j in range(n)]
+            return [complex(1.0 + span * j / max(n - 1, 1), 0.0)
+                    for j in range(n)]
         pts = []
         for j in range(n):
             t = level * cmath.exp(2j * cmath.pi * j / n)
@@ -511,17 +582,9 @@ def phi1(h: HeunParameters, m: int, x: complex) -> complex:
     return complex(pref) * complex(x) ** m * f
 
 
-def _apply_heun(h: HeunParameters, q: complex, u, du, ddu, x: complex) -> complex:
-    """(D - q)u at x from the value and first two derivatives of u."""
-    a = h.a
-    p2 = x * (x - 1.0) * (x - a)
-    p1 = (h.gamma * (x - 1.0) * (x - a) + h.delta * x * (x - a)
-          + h.epsilon * x * (x - 1.0))
-    return p2 * ddu + p1 * du + (h.alpha * h.beta * x - q) * u
-
-
 def _variant_basis(h: HeunParameters, v: ExpansionVariant):
-    """Return u(n, x, order) giving the n-th basis function and derivatives."""
+    """Return u(n, x), the n-th basis function of a MERGE_AT_1 or
+    MERGE_AT_INFINITY expansion."""
     ga = h.gamma
     if v is ExpansionVariant.MERGE_AT_INFINITY:
         lam = h.alpha
@@ -535,154 +598,37 @@ def _variant_basis(h: HeunParameters, v: ExpansionVariant):
                 "beta - epsilon - alpha = %d collapses the basis (indices n "
                 "and %d - n give the same function)" % (ni, ni))
 
-        def u(n: int, x: complex, order: int = 0) -> complex:
-            p = HypergeometricParameters(lam + n, mu - n, ga)
-            if order == 0:
-                return gauss_2f1(p, x)
-            return d_gauss_2f1(p, x, order=order)
+        def u(n: int, x: complex) -> complex:
+            return gauss_2f1(HypergeometricParameters(lam + n, mu - n, ga), x)
 
         return u
-    if v is ExpansionVariant.MERGE_AT_1:
 
-        def u(n: int, x: complex, order: int = 0) -> complex:
-            p = HypergeometricParameters(h.alpha + n, h.beta + n, ga)
-            f0 = gauss_2f1(p, x)
-            if order == 0:
-                return (x - 1.0) ** n * f0
-            f1 = d_gauss_2f1(p, x, order=1)
-            if order == 1:
-                return (n * (x - 1.0) ** (n - 1) * f0 if n else 0j) \
-                    + (x - 1.0) ** n * f1
-            f2 = d_gauss_2f1(p, x, order=2)
-            out = (x - 1.0) ** n * f2 + (2 * n * (x - 1.0) ** (n - 1) * f1 if n else 0j)
-            if n >= 2:
-                out += n * (n - 1) * (x - 1.0) ** (n - 2) * f0
-            return out
+    def u(n: int, x: complex) -> complex:
+        p = HypergeometricParameters(h.alpha + n, h.beta + n, ga)
+        return (x - 1.0) ** n * gauss_2f1(p, x)
 
-        return u
-    raise PreconditionError("variant %r has no projection basis" % (v,))
+    return u
 
 
-class _LadderFitter:
-    """Incremental fit of the rows of a basis three-term ladder.
-
-    Row n of (D-q)u_n = A_n u_{n+1} + B_n u_n + C_n u_{n-1} is recovered
-    by least squares over a sample ring, with a held-out residual check,
-    which avoids transcribing contiguous-relation algebra per variant.
-    Columns are rescaled to unit peak before the solve because the basis
-    values grow geometrically in n.
-    """
-
-    def __init__(self, h: HeunParameters, q: complex, v: ExpansionVariant):
-        self.h, self.q = h, q
-        self.u = _variant_basis(h, v)
-        n_fit, n_hold = 12, 6
-        self.fit_x = [LADDER_FIT_RADIUS
-                      * cmath.exp(2j * cmath.pi * (j + 0.31) / n_fit)
-                      for j in range(n_fit)]
-        self.hold_x = [(LADDER_FIT_RADIUS + 0.03)
-                       * cmath.exp(2j * cmath.pi * (j + 0.11) / n_hold)
-                       for j in range(n_hold)]
-        self._vals = {}
-
-    def _u_at(self, n, which, order=0):
-        key = (n, order, which)
-        if key not in self._vals:
-            pts = self.fit_x if which == "fit" else self.hold_x
-            self._vals[key] = np.array([self.u(n, x, order) for x in pts])
-        return self._vals[key]
-
-    def _lhs(self, n, which):
-        h, q, u = self.h, self.q, self.u
-        pts = self.fit_x if which == "fit" else self.hold_x
-        return np.array([
-            _apply_heun(h, q, u(n, x, 0), u(n, x, 1), u(n, x, 2), x)
-            for x in pts])
-
-    def row(self, n):
-        """(A_n, B_n, C_n); C_0 = 0 structurally."""
-        cols = [self._u_at(n + 1, "fit"), self._u_at(n, "fit")]
-        if n >= 1:
-            cols.append(self._u_at(n - 1, "fit"))
-        scales = [max(float(np.max(np.abs(c))), 1e-300) for c in cols]
-        Mfit = np.column_stack([c / s for c, s in zip(cols, scales)])
-        lhs_fit = self._lhs(n, "fit")
-        coef, *_ = np.linalg.lstsq(Mfit, lhs_fit, rcond=None)
-        coef = np.array([c / s for c, s in zip(coef, scales)])
-        cols_h = [self._u_at(n + 1, "hold"), self._u_at(n, "hold")]
-        if n >= 1:
-            cols_h.append(self._u_at(n - 1, "hold"))
-        lhs_hold = self._lhs(n, "hold")
-        resid = lhs_hold - np.column_stack(cols_h) @ coef
-        scale = max(1.0, float(np.max(np.abs(lhs_hold))))
-        if float(np.max(np.abs(resid))) > LADDER_RESIDUAL_TOL * scale:
-            raise ArithmeticError(
-                "three-term ladder fit failed at n=%d (residual %.2e); the "
-                "expansion does not close for these parameters"
-                % (n, float(np.max(np.abs(resid)))))
-        return coef[0], coef[1], (coef[2] if n >= 1 else 0j)
-
-
-def _ladder_coefficients(h: HeunParameters, q: complex, v: ExpansionVariant,
-                         N: int):
-    """Arrays A, B, C of ladder rows 0..N (see _LadderFitter)."""
-    fitter = _LadderFitter(h, q, v)
-    A = np.zeros(N + 1, dtype=complex)
-    B = np.zeros(N + 1, dtype=complex)
-    C = np.zeros(N + 1, dtype=complex)
-    for n in range(N + 1):
-        A[n], B[n], C[n] = fitter.row(n)
-    return A, B, C
-
-
-def _variant_sequence(h: HeunParameters, q: complex, v: ExpansionVariant, N: int):
-    """Coefficients X_0..X_N of the MERGE_AT_INFINITY / MERGE_AT_1 series.
-
-    Ladder rows are fitted on demand so that a terminating sequence
-    (epsilon = -m with X_{m+1} at roundoff level) can stop early; rows
-    past the termination index are never needed and their fits would
-    only lose accuracy as the basis values grow.
-    """
-    fitter = _LadderFitter(h, q, v)
-    X = [1.0 + 0j]
-    if N == 0:
-        return X
-    mi = near_integer(-h.epsilon, tol=1e-8)
-    rows = [fitter.row(0)]
-    for j in range(N):
-        rows.append(fitter.row(j + 1))
-        c_next = rows[j + 1][2]
-        if abs(c_next) == 0.0:
-            raise BreakdownError(j + 1, "ladder coefficient C vanishes")
-        if j == 0:
-            X.append(-rows[0][1] * X[0] / c_next)
-        else:
-            X.append(-(rows[j - 1][0] * X[j - 1] + rows[j][1] * X[j]) / c_next)
-        if mi is not None and 0 <= mi == j:
-            scale = max(abs(val) for val in X[:mi + 1])
-            if scale > 0.0 and abs(X[-1]) <= 1e-10 * scale:
-                X[-1] = 0j
-                X.extend([0j] * (N - mi - 1))
-                break
-    return X
-
-
-def _truncated_tail(h: HeunParameters, X):
-    """Zero the tail of a terminating coefficient sequence.
+def _sum_coefficients(h: HeunParameters, v: ExpansionVariant, qd: complex,
+                      N: int):
+    """X_0..X_N by forward recursion, cut to exact zeros at a termination.
 
     When epsilon = -m and q lies in the terminating set, the exact
     solution has X_j = 0 for every j > m; the forward recursion leaves
     roundoff there, which the dominant recurrence solution then
-    amplifies.  Truncation is applied only when the computed X_{m+1} is
-    already at roundoff level relative to the head of the sequence.
+    amplifies, so rows past m are not run.  Truncation is applied only
+    when the computed X_{m+1} is already at roundoff level relative to
+    the head of the sequence.
     """
+    rows = _lists(_row_table(h, v, max(N - 1, 0)))
     mi = near_integer(-h.epsilon, tol=1e-8)
-    if mi is None or mi < 0 or len(X) <= mi + 1:
-        return list(X)
-    scale = max(abs(v) for v in X[:mi + 1])
-    if scale > 0.0 and abs(X[mi + 1]) <= 1e-10 * scale:
-        return list(X[:mi + 1]) + [0j] * (len(X) - mi - 1)
-    return list(X)
+    if mi is not None and 0 <= mi < N:
+        X = _forward(rows, qd, mi + 1)
+        scale = max(abs(v) for v in X[:mi + 1])
+        if scale > 0.0 and abs(X[mi + 1]) <= 1e-10 * scale:
+            return X[:mi + 1] + [0j] * (N - mi)
+    return _forward(rows, qd, N)
 
 
 def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
@@ -695,11 +641,19 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
     variants always require the continued-fraction condition on q, plus
     x in Omega1_minus (skipped when k = 1 makes the domain degenerate)
     and off the cut [1, infinity), where their 2F1 factors live.
+
+    In the minimal-solution case the coefficients come from Miller's
+    backward ratios started well past N; forward recursion would follow
+    the dominant solution there.  Elsewhere they come from forward
+    recursion over the same closed-form rows.
     """
     x = complex(x)
+    qd = _q_scale(h, lm_form) * q
     if v is ExpansionVariant.MERGE_AT_0:
         dom = ConvergenceDomain(h.a)
-        if not dom.contains(x, "omega0"):
+        if dom.contains(x, "omega0"):
+            X = _sum_coefficients(h, v, qd, N)
+        else:
             ok = False
             if dom.contains(x, "omega1"):
                 cf = continued_fraction(h, q, CF_DEFAULT_DEPTH, lm_form)
@@ -708,7 +662,11 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
                 raise DomainError(
                     "x = %r outside Omega0 (and not an Omega1 minimal-solution "
                     "case) for a = %r" % (x, h.a))
-        X = _truncated_tail(h, recurrence_sequence(h, q, N, lm_form))
+            top = max(2 * N, N + 48)
+            r = _backward_ratios(_lists(_row_table(h, v, top)), qd)
+            X = [1.0 + 0j]
+            for m in range(N):
+                X.append(X[m] * r[m])
         total = 0j
         for m in range(N + 1):
             total += X[m] * phi1(h, m, x)
@@ -733,8 +691,8 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
         # k = 1 collapses the two-disc picture; only the cut is excluded
         pass
     u = _variant_basis(h, v)
-    X = _truncated_tail(h, _variant_sequence(h, q, v, N))
+    X = _sum_coefficients(h, v, qd, N)
     total = 0j
     for n in range(N + 1):
-        total += X[n] * u(n, x, 0)
+        total += X[n] * u(n, x)
     return total

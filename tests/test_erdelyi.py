@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import sympy as sp
 
@@ -35,6 +36,7 @@ from fuchsia_heun.erdelyi import (
     terminating_accessory_matrix,
     terminating_accessory_set,
 )
+from fuchsia_heun.erdelyi import _row_table
 from fuchsia_heun.frobenius import apparent_q_set
 from fuchsia_heun.frobenius import local_series
 
@@ -62,19 +64,16 @@ _TERM2 = _heun(a=3.0, q=0.0, alpha=0.37, gamma=0.3, delta=0.41, epsilon=-2.0)
 
 # ------------------------------------------------- exact substitution oracle
 
-def _exact_ladder(a, q, al, be, ga, de, ep, m, terms=9):
+def _exact_ladder(a, q, al, be, ga, de, ep, m, basis, terms=9):
     """(up, mid, down) coefficients of the operator on basis element m.
 
-    Expands D[x^m 2F1(al+m, be+m; w+2m+1; x)] in the neighbouring basis
-    elements using exact rational arithmetic; the mid coefficient carries
-    the -q contribution.  Raises if the expansion does not close.
+    basis(n, upto) gives the Taylor coefficients at 0 of basis element n,
+    as a dict from power to exact value, for every power up to upto.
+    D[u_m] is expanded in u_{m+1}, u_m, u_{m-1} using exact rational
+    arithmetic; the mid coefficient carries the -q contribution.  Raises
+    if the expansion does not close.
     """
-    w = al + be - de
-
-    def series(mm, upto):
-        A, B, C = al + mm, be + mm, w + 2 * mm + 1
-        return {mm + j: sp.rf(A, j) * sp.rf(B, j) / (sp.rf(C, j) * sp.factorial(j))
-                for j in range(upto + 1)}
+    upto = m + terms
 
     def apply_op(coeffs):
         out = {}
@@ -89,15 +88,15 @@ def _exact_ladder(a, q, al, be, ga, de, ep, m, terms=9):
                     out[dp] = out.get(dp, sp.Integer(0)) + c * cc
         return out
 
-    lhs = apply_op(series(m, terms))
+    lhs = apply_op(basis(m, upto))
     up, mid, down = sp.symbols("up mid down")
-    rhs_parts = [(up, series(m + 1, terms)), (mid, series(m, terms))]
+    rhs_parts = [(up, basis(m + 1, upto)), (mid, basis(m, upto))]
     unknowns = [up, mid]
     if m >= 1:
-        rhs_parts.append((down, series(m - 1, terms)))
+        rhs_parts.append((down, basis(m - 1, upto)))
         unknowns.append(down)
     eqs = []
-    for p in range(m - 1, m + terms - 1):
+    for p in range(upto):          # D[u_m] is exact below power upto
         rhs_p = sum(sym * part.get(p, sp.Integer(0)) for sym, part in rhs_parts)
         expr = sp.expand(lhs.get(p, sp.Integer(0)) - rhs_p)
         if expr != 0:
@@ -108,29 +107,85 @@ def _exact_ladder(a, q, al, be, ga, de, ep, m, terms=9):
     return (got[up], got[mid], got[down] if m >= 1 else sp.Integer(0))
 
 
+def _gauss_coeffs(A, B, C, upto):
+    return [sp.rf(A, j) * sp.rf(B, j) / (sp.rf(C, j) * sp.factorial(j))
+            for j in range(upto + 1)]
+
+
+# exact rational parameter set shared by the row oracles
+_EXACT = dict(a=sp.Integer(3), q=sp.Rational(2, 7), al=sp.Rational(1, 3),
+              ga=sp.Rational(2, 5), de=sp.Rational(3, 7), ep=sp.Rational(5, 11))
+_EXACT["be"] = _EXACT["ga"] + _EXACT["de"] + _EXACT["ep"] - _EXACT["al"] - 1
+
+
+def _exact_heun():
+    e = _EXACT
+    return HeunParameters(a=float(e["a"]), q=float(e["q"]), alpha=float(e["al"]),
+                          beta=float(e["be"]), gamma=float(e["ga"]),
+                          delta=float(e["de"]), epsilon=float(e["ep"]))
+
+
+def _close(got, exact):
+    exact = complex(exact)
+    return abs(got - exact) < ROW_MATCH_TOL * max(1.0, abs(exact))
+
+
 def test_rows_match_exact_substitution_oracle():
-    a, q = sp.Integer(3), sp.Rational(2, 7)
-    al, ga, de, ep = (sp.Rational(1, 3), sp.Rational(2, 5),
-                      sp.Rational(3, 7), sp.Rational(5, 11))
-    be = ga + de + ep - al - 1
+    e = _EXACT
+    al, be, de = e["al"], e["be"], e["de"]
     w = al + be - de
+
+    def basis(mm, upto):
+        # phi_m without its Gamma prefactor: x^m 2F1(al+m, be+m; w+2m+1; x)
+        c = _gauss_coeffs(al + mm, be + mm, w + 2 * mm + 1, upto - mm)
+        return {mm + j: cj for j, cj in enumerate(c)}
 
     def rho(m):
         return ((al - de + m + 1) * (be - de + m + 1)
                 / ((w + 2 * m + 1) * (w + 2 * m + 2)))
 
-    ladders = {m: _exact_ladder(a, q, al, be, ga, de, ep, m) for m in range(6)}
-    h = HeunParameters(a=float(a), q=float(q), alpha=float(al), beta=float(be),
-                       gamma=float(ga), delta=float(de), epsilon=float(ep))
+    ladders = {m: _exact_ladder(m=m, basis=basis, **e) for m in range(6)}
+    h = _exact_heun()
     for m in range(5):
         row = klm(h, m)
-        l_exact = complex(ladders[m][1])
-        m_exact = complex(ladders[m + 1][2] * rho(m))
-        assert abs(row.L - l_exact) < ROW_MATCH_TOL * max(1.0, abs(l_exact))
-        assert abs(row.M - m_exact) < ROW_MATCH_TOL * max(1.0, abs(m_exact))
+        assert _close(row.L, ladders[m][1])
+        assert _close(row.M, ladders[m + 1][2] * rho(m))
         if m >= 1:
-            k_exact = complex(ladders[m - 1][0] / rho(m - 1))
-            assert abs(row.K - k_exact) < ROW_MATCH_TOL * max(1.0, abs(k_exact))
+            assert _close(row.K, ladders[m - 1][0] / rho(m - 1))
+
+
+def _merge_at_1_basis(mm, upto):
+    # (x-1)^n 2F1(al+n, be+n; ga; x)
+    e = _EXACT
+    f = _gauss_coeffs(e["al"] + mm, e["be"] + mm, e["ga"], upto)
+    out = {}
+    for k in range(min(mm, upto) + 1):
+        b = sp.binomial(mm, k) * (-1) ** (mm - k)
+        for j in range(upto - k + 1):
+            out[k + j] = out.get(k + j, sp.Integer(0)) + b * f[j]
+    return out
+
+
+def _merge_at_infinity_basis(mm, upto):
+    # 2F1(al+n, be-ep-n; ga; x)
+    e = _EXACT
+    c = _gauss_coeffs(e["al"] + mm, e["be"] - e["ep"] - mm, e["ga"], upto)
+    return dict(enumerate(c))
+
+
+@pytest.mark.parametrize("v, basis", [
+    (ExpansionVariant.MERGE_AT_1, _merge_at_1_basis),
+    (ExpansionVariant.MERGE_AT_INFINITY, _merge_at_infinity_basis),
+], ids=["merge_at_1", "merge_at_infinity"])
+def test_variant_rows_match_exact_substitution_oracle(v, basis):
+    # the closed-form table against the ladder of the basis itself:
+    # K_j = up_{j-1}, Lbar_j = mid_j + q, M_j = down_{j+1}
+    ladders = {n: _exact_ladder(m=n, basis=basis, **_EXACT) for n in range(7)}
+    K, Lbar, M = _row_table(_exact_heun(), v, 5)
+    for j in range(6):
+        assert _close(Lbar[j], ladders[j][1] + _EXACT["q"])
+        assert _close(M[j], ladders[j + 1][2])
+        assert _close(K[j], ladders[j - 1][0] if j else 0)
 
 
 def test_printed_row_form_differs_by_accessory_scaling():
@@ -296,6 +351,48 @@ def test_nonterminating_root_found_and_certified_by_convergence():
     assert abs(X_good[10]) < 1e-4 * abs(X_bad[10])
 
 
+def _heun_ode_along(h, q, path, y0):
+    """Heun solution carried along a polyline by DOP853; value at each vertex."""
+    y = np.array(y0, dtype=complex)
+    out = {}
+    for z0, z1 in zip(path, path[1:]):
+        dz = z1 - z0
+
+        def rhs(t, y, z0=z0, dz=dz):
+            x = z0 + t * dz
+            p2 = x * (x - 1.0) * (x - h.a)
+            p1 = (h.gamma * (x - 1.0) * (x - h.a) + h.delta * x * (x - h.a)
+                  + h.epsilon * x * (x - 1.0))
+            ypp = -(p1 * y[1] + (h.alpha * h.beta * x - q) * y[0]) / p2
+            return [y[1] * dz, ypp * dz]
+
+        sol = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
+                                        rtol=1e-12, atol=1e-14)
+        assert sol.success
+        y = sol.y[:, -1]
+        out[z1] = y[0]
+    return out
+
+
+def test_omega1_minimal_sum_matches_ode_at_every_depth():
+    # at a fraction root the MERGE_AT_0 sum converges on Omega1; the Heun
+    # solution regular at 0 is continued there by integrating the ODE from
+    # x = 0.1 along a path that avoids the singular points
+    h = _GEN
+    found = accessory_roots_cf(h, box=(-0.5, 0.5, -0.5, 0.5))
+    qstar = min(found, key=abs)
+    ls = local_series(_with_q(h, qstar), 0.0, 0.0, 60)
+    x0 = 0.1
+    far = _heun_ode_along(h, qstar, [x0, 0.1 + 0.3j, -0.6 + 0.5j, -1.0],
+                          [ls(x0), ls.derivative(x0)])
+    for N in (12, 40, 64, 128, 200):
+        scale = sum_expansion(h, qstar, x0, N) / ls(x0)
+        for x in (-0.6 + 0.5j, -1.0):
+            assert not ConvergenceDomain(h.a).contains(x, "omega0")
+            got = sum_expansion(h, qstar, x, N) / far[x]
+            assert abs(got / scale - 1.0) < 1e-11
+
+
 # ------------------------------------------------------------------- domains
 
 def test_conformal_ratio_values():
@@ -430,6 +527,18 @@ def test_merge_at_infinity_matches_frobenius_solution():
     assert abs(vals[0] - vals[1]) < 1e-9 * abs(vals[0])
 
 
+def test_merge_at_1_long_terminating_sum_matches_local_series():
+    # epsilon = -4 with the most negative terminating root: the sum runs
+    # forty rows past a termination that is not at roundoff level
+    h = _heun(a=3.0, q=0.0, alpha=0.37, gamma=0.3, delta=0.41, epsilon=-4.0)
+    q = min(terminating_accessory_set(h), key=lambda z: z.real)
+    ls = local_series(_with_q(h, q), 0.0, 0.0, 60)
+    ratios = [sum_expansion(h, q, x, 40, ExpansionVariant.MERGE_AT_1) / ls(x)
+              for x in (0.1, 0.15, -0.1 + 0.1j)]
+    for r in ratios[1:]:
+        assert abs(r - ratios[0]) < 1e-9 * abs(ratios[0])
+
+
 def test_variant_divergence_gate_for_generic_accessory():
     h = _TERM2
     with pytest.raises(DomainError, match="diverges"):
@@ -460,6 +569,20 @@ def test_row_denominator_resonance():
     assert abs(h.alpha + h.beta - h.delta + 1.0) < 1e-12
     with pytest.raises(ResonanceError):
         klm(h, 0)
+
+
+def test_variant_row_denominator_resonance():
+    # delta + epsilon = -1 hits delta+epsilon+2n-1 at n = 1
+    h = _heun(a=2.0, q=0.1, alpha=0.4, gamma=0.3, delta=0.5, epsilon=-1.5)
+    with pytest.raises(ResonanceError, match="delta\\+epsilon"):
+        _row_table(h, ExpansionVariant.MERGE_AT_1, 4)
+    # alpha - beta + epsilon = 0 hits the n = 0 denominator; it is not a
+    # basis collapse (beta - epsilon - alpha = 0), so the row guard fires
+    h = _heun(a=3.0, q=0.0, alpha=-0.145, gamma=0.3, delta=0.41, epsilon=-1.0)
+    assert abs(h.alpha - h.beta + h.epsilon) < 1e-12
+    q = terminating_accessory_set(h)[0]
+    with pytest.raises(ResonanceError, match="alpha-beta\\+epsilon"):
+        sum_expansion(h, q, 0.1, 30, ExpansionVariant.MERGE_AT_INFINITY)
 
 
 def test_degenerate_rung_breaks_loudly():
