@@ -8,6 +8,9 @@ monodromy along explicit loops, q-set inclusion checks, and the sixth
 Painleve correspondence.
 
 The path integrator is pure Python; ``backend()`` reports its name.
+Importing the package loads numpy but not scipy: scipy is imported only
+inside ``takemura.inclusion_check`` (the assignment solver) and the
+MERGE_AT_0 expansion prefactor in ``erdelyi`` (log-Gamma).
 """
 
 from .conditions import (

@@ -6,8 +6,9 @@ floats use Python's shortest round-trip representation.
 
 Exit status: 0 on success, 2 when a verified claim fails numerically
 (spectrum deviation, three-way q-set mismatch, inclusion failure, path too
-close to a pole), 1 on usage errors (unknown command, malformed input,
-non-positive tolerances, hypothesis violations).
+close to a pole, an expansion whose tail estimate exceeds ``--tol``), 1 on
+usage errors (unknown command, malformed input, non-positive tolerances,
+hypothesis violations).
 
 Complex numbers are written ``re,im`` on the command line (a leading minus
 is fine, also after a space: ``--a -2,1``) and as two-element ``[re, im]``
@@ -43,7 +44,15 @@ class UsageError(ValueError):
 
 
 class ClaimViolation(RuntimeError):
-    """A numerically verified claim failed at the requested tolerance."""
+    """A numerically verified claim failed at the requested tolerance.
+
+    ``artifact``, when given, is the command's output, written as usual
+    before the failure is reported.
+    """
+
+    def __init__(self, message: str, artifact: Optional[str] = None):
+        super().__init__(message)
+        self.artifact = artifact
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,13 +227,17 @@ def _cmd_expand(cfg: RunConfig) -> str:
         raise UsageError("expand requires at least one --x point")
     n_terms = cfg.depth if cfg.depth is not None else 64
     variant = ExpansionVariant(cfg.params.get("variant", "merge_at_0"))
+    tol = cfg.tol if cfg.tol is not None else 1e-8
     rows = []
     for x in xs:
         try:
             val = erdelyi.sum_expansion(h, q, x, n_terms, variant)
             prev = erdelyi.sum_expansion(h, q, x, max(n_terms - 5, 1), variant)
-            rows.append([x.real, x.imag, val.real, val.imag,
-                         abs(val - prev), "ok"])
+            tail = abs(val - prev)
+            # written so that a nan tail also counts as unconverged
+            ok = tail <= tol * max(1.0, abs(val))
+            rows.append([x.real, x.imag, val.real, val.imag, tail,
+                         "ok" if ok else "unconverged"])
         except (erdelyi.DomainError, erdelyi.DegenerateDomainError) as exc:
             rows.append([x.real, x.imag, "", "", "", f"outside: {exc}"])
         except ArithmeticError as exc:
@@ -233,8 +246,14 @@ def _cmd_expand(cfg: RunConfig) -> str:
     header = ["x_re", "x_im", "value_re", "value_im", "tail_estimate",
               "status"]
     if cfg.fmt == "csv":
-        return _csv_text(header, rows)
-    return _dump({"header": header, "rows": rows})
+        text = _csv_text(header, rows)
+    else:
+        text = _dump({"header": header, "rows": rows})
+    bad = sum(r[5] == "unconverged" for r in rows)
+    if bad:
+        raise ClaimViolation(f"{bad} point(s) unconverged: tail estimate "
+                             f"above {tol} relative to the value", text)
+    return text
 
 
 def _cmd_domain(cfg: RunConfig) -> str:
@@ -317,7 +336,12 @@ def run(cfg: RunConfig) -> int:
     handler = _HANDLERS.get(cfg.command)
     if handler is None:
         raise UsageError(f"unknown command {cfg.command!r}")
-    text = handler(cfg)
+    try:
+        text = handler(cfg)
+    except ClaimViolation as exc:
+        if exc.artifact is not None:
+            _emit(exc.artifact, cfg.out)
+        raise
     _emit(text, cfg.out)
     return 0
 

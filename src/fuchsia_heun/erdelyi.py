@@ -32,7 +32,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import loggamma
 
 from .connection import HeunParameters
 from .hypergeom import HypergeometricParameters, gauss_2f1
@@ -559,27 +558,63 @@ def domain_membership(a: complex, x: complex, which: str) -> bool:
 # expansion evaluation
 
 
+def _phi1_prefactor(h: HeunParameters, m: int) -> complex:
+    """Gamma(alpha-delta+m+1) Gamma(beta-delta+m+1) / Gamma(w+2m+1), w =
+    alpha+beta-delta, through log-Gamma so large m cannot overflow."""
+    # scipy takes about half a second to import and only the MERGE_AT_0
+    # prefactor needs it, so it is loaded here rather than with the module
+    from scipy.special import loggamma
+
+    g1 = h.alpha - h.delta + m + 1
+    g2 = h.beta - h.delta + m + 1
+    for g in (g1, g2):
+        ni = near_integer(g, tol=1e-10)
+        if ni is not None and ni <= 0:
+            raise ResonanceError(
+                "Gamma-prefactor pole: argument %r is a non-positive integer" % (g,))
+    return complex(np.exp(loggamma(complex(g1)) + loggamma(complex(g2))
+                          - loggamma(complex(_w(h) + 2 * m + 1))))
+
+
 def phi1(h: HeunParameters, m: int, x: complex) -> complex:
     """Basis function of the MERGE_AT_0 expansion.
 
     phi_m(x) = Gamma(alpha-delta+m+1) Gamma(beta-delta+m+1) /
     Gamma(alpha+beta-delta+2m+1) x^m 2F1(alpha+m, beta+m;
     alpha+beta-delta+2m+1; x); the prefactor is computed through
-    log-Gamma so large m cannot overflow.
+    log-Gamma so large m cannot overflow.  `sum_expansion` does not call
+    this per term: it seeds the prefactor from one log-Gamma evaluation
+    at m = 0 and steps it by its rational term ratio, and this function
+    is the reference it is tested against.
     """
-    w = _w(h)
-    g1 = h.alpha - h.delta + m + 1
-    g2 = h.beta - h.delta + m + 1
-    g3 = w + 2 * m + 1
-    for g in (g1, g2):
-        ni = near_integer(g, tol=1e-10)
-        if ni is not None and ni <= 0:
-            raise ResonanceError(
-                "Gamma-prefactor pole: argument %r is a non-positive integer" % (g,))
-    pref = np.exp(loggamma(complex(g1)) + loggamma(complex(g2))
-                  - loggamma(complex(g3)))
+    pref = _phi1_prefactor(h, m)
+    g3 = _w(h) + 2 * m + 1
     f = gauss_2f1(HypergeometricParameters(h.alpha + m, h.beta + m, g3), x)
-    return complex(pref) * complex(x) ** m * f
+    return pref * complex(x) ** m * f
+
+
+def _phi1_sum(h: HeunParameters, X, x: complex) -> complex:
+    """sum_m X_m phi_m(x), m = 0..len(X)-1.
+
+    The prefactor is seeded once at m = 0, which raises ResonanceError
+    when alpha-delta+1 or beta-delta+1 is a non-positive integer, and
+    then stepped by (alpha-delta+m+1)(beta-delta+m+1) / ((w+2m+1)(w+2m+2));
+    x^m is a running product.  A step denominator vanishes only when w+1
+    is a non-positive integer, and then the m = 0 2F1 already raises.
+    """
+    a1 = h.alpha - h.delta + 1
+    b1 = h.beta - h.delta + 1
+    w = _w(h)
+    pref, xm = _phi1_prefactor(h, 0), 1.0 + 0j
+    total = 0j
+    for m in range(len(X)):
+        if m:
+            pref *= (a1 + m - 1) * (b1 + m - 1) / ((w + 2 * m - 1) * (w + 2 * m))
+            xm *= x
+        f = gauss_2f1(HypergeometricParameters(h.alpha + m, h.beta + m,
+                                               w + 2 * m + 1), x)
+        total += X[m] * (pref * xm * f)
+    return total
 
 
 def _variant_basis(h: HeunParameters, v: ExpansionVariant):
@@ -667,10 +702,7 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
             X = [1.0 + 0j]
             for m in range(N):
                 X.append(X[m] * r[m])
-        total = 0j
-        for m in range(N + 1):
-            total += X[m] * phi1(h, m, x)
-        return total
+        return _phi1_sum(h, X, x)
     if _on_real_cut(x):
         raise DomainError("x = %r lies on the cut [1, inf)" % (x,))
     # The bases merging at 1 or infinity have the reciprocal term-ratio

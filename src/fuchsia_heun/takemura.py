@@ -7,6 +7,10 @@ polynomial q makes x = a apparent; for n >= m every apparent q admits a
 polynomial solution; for m = n the sets coincide.  ``inclusion_check``
 verifies the applicable direction numerically by optimal assignment between
 the two root lists.
+
+The assignment solver is scipy's, imported inside ``inclusion_check``; it
+and the MERGE_AT_0 prefactor in ``erdelyi`` are the only places the package
+loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .connection import HeunParameters, heun_scalar, companion_system
 from .frobenius import apparent_q_set, polynomial_q_set
@@ -127,6 +130,10 @@ def takemura_parameters(a, gamma, delta, m: int, n: int) -> HeunParameters:
 def inclusion_check(a, gamma, delta, m: int, n: int,
                     tol: float = MATCH_TOL) -> InclusionReport:
     """Verify the applicable q-set inclusion and report the matching."""
+    # scipy.optimize takes about half a second to import; no other
+    # function of the package needs it
+    from scipy.optimize import linear_sum_assignment
+
     h = takemura_parameters(a, gamma, delta, m, n)
     q_poly = _sorted_q(polynomial_q_set(h))
     q_app = _sorted_q(apparent_q_set(h))

@@ -36,7 +36,7 @@ from fuchsia_heun.erdelyi import (
     terminating_accessory_matrix,
     terminating_accessory_set,
 )
-from fuchsia_heun.erdelyi import _row_table
+from fuchsia_heun.erdelyi import _row_table, _sum_coefficients
 from fuchsia_heun.frobenius import apparent_q_set
 from fuchsia_heun.frobenius import local_series
 
@@ -473,6 +473,34 @@ def test_phi_gamma_prefactor_pole_guard():
     with pytest.raises(ResonanceError):
         phi1(h, 0, 0.1)
     phi1(h, 2, 0.1)      # prefactor argument positive again
+    h = _heun(a=2.0 + 1.0j, q=0.1, alpha=0.3, gamma=0.5, delta=2.3, epsilon=0.4)
+    with pytest.raises(ResonanceError):
+        sum_expansion(h, h.q, 0.1, 10)
+
+
+def test_sum_with_gamma_denominator_pole_raises():
+    # alpha-delta+1 = beta-delta+1 = 1/2 but w+1 = alpha+beta-delta+1 = -2:
+    # the stepped prefactor would divide by zero, the m = 0 2F1 raises first
+    h = _heun(a=2.0 + 1.0j, q=0.1, alpha=-2.5, gamma=0.4, delta=-2.0,
+              epsilon=-2.4)
+    assert abs(h.alpha + h.beta - h.delta + 1.0 - (-2.0)) < 1e-12
+    for n in (0, 1, 2, 10):
+        with pytest.raises(ArithmeticError):
+            sum_expansion(h, h.q, 0.1, n)
+
+
+@pytest.mark.parametrize("h, x", [
+    (_GEN, 0.1 - 0.05j),
+    (_heun(a=2.0 + 1.0j, q=0.4 - 0.3j, alpha=0.3 + 0.2j, gamma=0.6 - 0.1j,
+           delta=0.35 + 0.25j, epsilon=0.7 - 0.4j), 0.4 + 0.3j),
+], ids=["gen", "complex"])
+def test_stepped_prefactor_sum_matches_phi1_terms(h, x):
+    assert ConvergenceDomain(h.a).contains(x, "omega0")
+    for n in (1, 16, 64, 128, 200):
+        X = _sum_coefficients(h, ExpansionVariant.MERGE_AT_0, h.q, n)
+        ref = sum(X[m] * phi1(h, m, x) for m in range(n + 1))
+        got = sum_expansion(h, h.q, x, n)
+        assert abs(got - ref) <= 1e-13 * abs(ref), n
 
 
 def test_terminating_sum_matches_local_series():
