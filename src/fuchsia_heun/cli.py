@@ -232,13 +232,15 @@ def _cmd_expand(cfg: RunConfig) -> str:
     for x in xs:
         try:
             val = erdelyi.sum_expansion(h, q, x, n_terms, variant)
-            prev = erdelyi.sum_expansion(h, q, x, max(n_terms - 5, 1), variant)
+            prev = erdelyi.sum_expansion(h, q, x, max(n_terms - 5, 0), variant)
             tail = abs(val - prev)
             # written so that a nan tail also counts as unconverged
             ok = tail <= tol * max(1.0, abs(val))
             rows.append([x.real, x.imag, val.real, val.imag, tail,
                          "ok" if ok else "unconverged"])
-        except (erdelyi.DomainError, erdelyi.DegenerateDomainError) as exc:
+        except (erdelyi.DomainError, erdelyi.DegenerateDomainError,
+                PreconditionError) as exc:
+            # PreconditionError: a point the 2F1 evaluator does not reach
             rows.append([x.real, x.imag, "", "", "", f"outside: {exc}"])
         except ArithmeticError as exc:
             rows.append([x.real, x.imag, "", "", "",

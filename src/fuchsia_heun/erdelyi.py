@@ -22,6 +22,15 @@ family has "- alpha beta q" in L_m where direct substitution of the
 expansion into the operator gives "- q"; `lm_form` selects "printed"
 or "oracle", the default, which the substitution oracle validates.
 
+The roots in q of the continued fraction of a table truncated at depth d
+are the eigenvalues of its d x d tridiagonal matrix (the classical matrix
+method for minimal solutions: Gautschi, SIAM Rev. 9, 1967; Ikebe, Math.
+Comp. 29, 1975).  `accessory_roots_cf` seeds Newton on the fraction from
+those eigenvalues and keeps a root only if it survives depth doubling.
+Away from Omega0 a series converges only on the minimal solution of its
+own recursion, so those sums gate q on their own table's fraction and
+take their coefficients from Miller's backward ratios.
+
 Accessory values are characterised three ways here and in `frobenius`
 and `spectra`; their agreement is the package's central cross-check.
 """
@@ -43,18 +52,15 @@ from .numkit import (
 )
 
 CF_DEFAULT_DEPTH = 48
-CLUSTER_RADIUS = 1e-6
 DEGENERATE_K_TOL = 1e-12
 
 __all__ = [
     "CF_DEFAULT_DEPTH",
-    "CLUSTER_RADIUS",
     "ErdelyiCoefficients",
     "ExpansionVariant",
     "ConvergenceDomain",
     "ResonanceError",
     "BreakdownError",
-    "NonConvergenceError",
     "DomainError",
     "DegenerateDomainError",
     "conformal_ratio",
@@ -80,10 +86,6 @@ class BreakdownError(ArithmeticError):
     def __init__(self, index: int, what: str):
         self.index = index
         super().__init__("%s at index %d" % (what, index))
-
-
-class NonConvergenceError(ArithmeticError):
-    """Continued-fraction root did not stabilise under depth doubling."""
 
 
 class DomainError(ValueError):
@@ -310,7 +312,12 @@ def terminating_accessory_matrix(h: HeunParameters) -> np.ndarray:
     if mi is None or mi < 0:
         raise PreconditionError("epsilon = %r is not a non-positive integer"
                                 % (h.epsilon,))
-    K, Lbar, M = _row_table(h, ExpansionVariant.MERGE_AT_0, mi)
+    return _tridiagonal(_row_table(h, ExpansionVariant.MERGE_AT_0, mi))
+
+
+def _tridiagonal(rows) -> np.ndarray:
+    """The rows as a square matrix: q X = T X is the recursion in oracle form."""
+    K, Lbar, M = rows
     return np.diag(Lbar) + np.diag(K[1:], -1) + np.diag(M[:-1], 1)
 
 
@@ -332,21 +339,33 @@ def terminating_accessory_set(h: HeunParameters, lm_form: str = "oracle"):
                   key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
-def _cf_newton(rows, qscale, q0, maxiter=60):
+def _cf_slope(rows, s: complex, q: complex):
+    """Truncated fraction at q and its q-derivative, in one backward sweep.
+
+    r_{m-1} = -K_m / (Lbar_m - s q + M_m r_m) is differentiated alongside
+    its value: dr_{m-1}/dq = K_m (M_m dr_m/dq - s) / (Lbar_m - s q + M_m r_m)^2.
+    """
+    K, Lbar, M = rows
+    qd = s * q
+    r = dr = 0j
+    for m in range(len(Lbar) - 1, 0, -1):
+        den = Lbar[m] - qd + M[m] * r
+        r, dr = -K[m] / den, K[m] * (M[m] * dr - s) / (den * den)
+    return (Lbar[0] - qd) / M[0] + r, dr - s / M[0]
+
+
+def _cf_newton(rows, s, q0, maxiter=60):
     """Newton iteration on the truncated continued fraction; None on failure."""
     z = complex(q0)
     for _ in range(maxiter):
         try:
-            f = _cf_value(rows, qscale * z)
-            step_h = 1e-6 * max(1.0, abs(z))
-            fp = (_cf_value(rows, qscale * (z + step_h))
-                  - _cf_value(rows, qscale * (z - step_h))) / (2 * step_h)
-        except (BreakdownError, ZeroDivisionError):
+            f, fp = _cf_slope(rows, s, z)
+            step = f / fp
+        except ZeroDivisionError:
             return None
-        if fp == 0 or not np.isfinite(fp) or not np.isfinite(f):
+        if not cmath.isfinite(step):
             return None
-        step = f / fp
-        z = z - step
+        z -= step
         if abs(step) <= 1e-12 * max(1.0, abs(z)):
             return z
     return None
@@ -357,16 +376,22 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
                        lm_form: str = "oracle"):
     """Roots in q of the accessory continued fraction inside a search box.
 
+    The zeros of the fraction truncated at depth d are the eigenvalues of
+    the d x d tridiagonal row table (Ikebe, Math. Comp. 29, 1975), so each
+    eigenvalue seeds a Newton iteration on the fraction itself, whose slope
+    comes from the same backward sweep as its value (`_cf_slope`).  A root
+    found at depth d is kept only if Newton at depth 2d, or else at 4d,
+    returns it to within tol; roots closer than tol count once.
+
     Parameters
     ----------
     h : HeunParameters
     depth : int
-        Initial truncation depth; every candidate root must be stable
-        under depth doubling to within tol.
+        Truncation depth d of the seeding table and of the first Newton pass.
     box : tuple or None
-        (re_min, re_max, im_min, im_max).  None requires epsilon = -m,
-        in which case a padded Gershgorin box of the terminating matrix
-        is used.
+        (re_min, re_max, im_min, im_max); only eigenvalues and roots inside
+        it are kept.  None requires epsilon = -m and seeds from the
+        eigenvalues of the terminating matrix.
     tol : float
         Depth-doubling stability tolerance.
 
@@ -374,38 +399,18 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
     -------
     list of complex, sorted lexicographically.
     """
-    qscale = _q_scale(h, lm_form)
-    extra_seeds = []
-    if box is None:
-        T = terminating_accessory_matrix(h)
-        centers = np.diag(T)
-        radii = np.sum(np.abs(T), axis=1) - np.abs(centers)
-        lo_r = min(c.real - r for c, r in zip(centers, radii))
-        hi_r = max(c.real + r for c, r in zip(centers, radii))
-        lo_i = min(c.imag - r for c, r in zip(centers, radii))
-        hi_i = max(c.imag + r for c, r in zip(centers, radii))
-        pad = 0.1 * max(hi_r - lo_r, hi_i - lo_i, 1.0) + 1.0
-        box = (lo_r - pad, hi_r + pad, lo_i - pad, hi_i + pad)
-        # Roots can pair with adjacent fraction poles, leaving Newton basins
-        # of width well under the grid spacing; seed near each terminating
-        # eigenvalue at several offsets so at least one lands in the basin
-        # (the root is still verified on the fraction itself)
-        extra_seeds = [complex(lam) * (1.0 + rel) + rel
-                       for lam, _ in eig_small(T)
-                       for rel in (3e-2, 1e-3, 1e-5)]
-        if lm_form == "printed":
-            ab = h.alpha * h.beta
-            corners = [complex(re, im) / ab
-                       for re in box[:2] for im in box[2:]]
-            box = (min(c.real for c in corners), max(c.real for c in corners),
-                   min(c.imag for c in corners), max(c.imag for c in corners))
-            extra_seeds = [s / ab for s in extra_seeds]
-    re_lo, re_hi, im_lo, im_hi = box
+    s = _q_scale(h, lm_form)
+    re_lo, re_hi, im_lo, im_hi = box or (-np.inf, np.inf, -np.inf, np.inf)
     if re_lo > re_hi or im_lo > im_hi:
         return []
+
+    def inside(z):
+        return re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
+
     # the rows are q-free, so each depth's table is built once and shared
     # by every fraction evaluation at that depth
-    tables = {}
+    table = _row_table(h, ExpansionVariant.MERGE_AT_0, depth - 1)
+    tables = {depth: _lists(table)}
 
     def rows_at(d):
         if d not in tables:
@@ -413,56 +418,28 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
         return tables[d]
 
     # M is q-independent, so a vanishing M kills every seed; fail loudly
-    zero = np.flatnonzero(np.asarray(rows_at(depth)[2]) == 0)
+    zero = np.flatnonzero(table[2] == 0)
     if zero.size:
         raise BreakdownError(
             int(zero[0]), "M coefficient vanishes identically; the three-term "
             "fraction degenerates (beta - delta or gamma integral)")
-    n_grid = 11
-    res = np.linspace(re_lo, re_hi, n_grid) if re_hi > re_lo else np.array([re_lo])
-    ims = np.linspace(im_lo, im_hi, n_grid) if im_hi > im_lo else np.array([im_lo])
-    # tiny asymmetric shift so seeds avoid symmetry-locked stationary points
-    dre = 1.37e-3 * max(re_hi - re_lo, 1.0)
-    dim = 0.71e-3 * max(im_hi - im_lo, 1.0)
-    pad_re = 0.05 * max(re_hi - re_lo, 1.0)
-    pad_im = 0.05 * max(im_hi - im_lo, 1.0)
-    seeds = [complex(re + dre, im + dim) for re in res for im in ims]
-    seeds.extend(extra_seeds)
-    raw = []
-    for seed in seeds:
-        z = _cf_newton(rows_at(depth), qscale, seed)
-        if z is None:
-            continue
-        if not (re_lo - pad_re <= z.real <= re_hi + pad_re
-                and im_lo - pad_im <= z.imag <= im_hi + pad_im):
-            continue
-        raw.append(z)
-    clusters = []
-    for z in raw:
-        for i, c in enumerate(clusters):
-            if abs(z - c[0]) <= CLUSTER_RADIUS * max(1.0, abs(c[0])):
-                clusters[i] = (c[0], c[1] + 1)
-                break
-        else:
-            clusters.append((z, 1))
+    T = terminating_accessory_matrix(h) if box is None else _tridiagonal(table)
     roots = []
-    for center, _count in clusters:
-        z1 = _cf_newton(rows_at(2 * depth), qscale, center)
-        if z1 is None:
-            raise NonConvergenceError(
-                "no convergence under depth doubling near q = %r" % (center,))
-        if abs(z1 - center) <= tol * max(1.0, abs(center)):
-            roots.append(z1)
+    for seed in np.linalg.eigvals(T) / s:
+        if not inside(seed):
             continue
-        z2 = _cf_newton(rows_at(4 * depth), qscale, z1)
-        if z2 is not None and abs(z2 - z1) <= tol * max(1.0, abs(z1)):
-            roots.append(z2)
-        # otherwise: truncation artifact, dropped
-    dedup = []
-    for z in sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10))):
-        if not dedup or abs(z - dedup[-1]) > CLUSTER_RADIUS * max(1.0, abs(z)):
-            dedup.append(z)
-    return dedup
+        z = _cf_newton(rows_at(depth), s, seed)
+        z1 = None if z is None else _cf_newton(rows_at(2 * depth), s, z)
+        if z1 is None:
+            continue
+        if abs(z1 - z) > tol * max(1.0, abs(z)):
+            z2 = _cf_newton(rows_at(4 * depth), s, z1)
+            if z2 is None or abs(z2 - z1) > tol * max(1.0, abs(z1)):
+                continue  # truncation artifact
+            z1 = z2
+        if inside(z1) and all(abs(z1 - r) > tol * max(1.0, abs(r)) for r in roots):
+            roots.append(z1)
+    return sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +622,9 @@ def _variant_basis(h: HeunParameters, v: ExpansionVariant):
     return u
 
 
-def _sum_coefficients(h: HeunParameters, v: ExpansionVariant, qd: complex,
-                      N: int):
-    """X_0..X_N by forward recursion, cut to exact zeros at a termination.
+def _sum_coefficients(h: HeunParameters, qd: complex, N: int):
+    """MERGE_AT_0 X_0..X_N by forward recursion, cut to exact zeros at a
+    termination.
 
     When epsilon = -m and q lies in the terminating set, the exact
     solution has X_j = 0 for every j > m; the forward recursion leaves
@@ -656,7 +633,7 @@ def _sum_coefficients(h: HeunParameters, v: ExpansionVariant, qd: complex,
     when the computed X_{m+1} is already at roundoff level relative to
     the head of the sequence.
     """
-    rows = _lists(_row_table(h, v, max(N - 1, 0)))
+    rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, max(N - 1, 0)))
     mi = near_integer(-h.epsilon, tol=1e-8)
     if mi is not None and 0 <= mi < N:
         X = _forward(rows, qd, mi + 1)
@@ -666,55 +643,62 @@ def _sum_coefficients(h: HeunParameters, v: ExpansionVariant, qd: complex,
     return _forward(rows, qd, N)
 
 
+def _minimal_coefficients(h: HeunParameters, v: ExpansionVariant, q: complex,
+                          qd: complex, N: int):
+    """X_0..X_N of the minimal solution of the variant's own recursion.
+
+    The rows run to max(2N, N+48); q must annihilate the fraction of that
+    table (|value| <= 1e-6 max(1, |q|)), or the series follows a dominant
+    solution and diverges, which raises DomainError.  The coefficients
+    are products of Miller's backward ratios; on a terminating table
+    K_{m+1} = 0 makes every ratio past m, and so every X_j with j > m, an
+    exact zero.
+    """
+    rows = _lists(_row_table(h, v, max(2 * N, N + 48)))
+    _K, Lbar, M = rows
+    if M[0] == 0:
+        raise BreakdownError(0, "M coefficient vanishes")
+    r = _backward_ratios(rows, qd)
+    cf = (Lbar[0] - qd) / M[0] + r[0]       # `_cf_value` of the table
+    if not abs(cf) <= 1e-6 * max(1.0, abs(q)):
+        raise DomainError(
+            "q = %r does not annihilate the %s continued fraction (value "
+            "%.2e); the series diverges" % (q, v.value, abs(cf)))
+    X = [1.0 + 0j]
+    for m in range(N):
+        X.append(X[m] * r[m])
+    return X
+
+
 def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
                   v: ExpansionVariant = ExpansionVariant.MERGE_AT_0,
                   lm_form: str = "oracle") -> complex:
     """Partial sum of the chosen expansion at x, N + 1 terms.
 
-    MERGE_AT_0 requires x in Omega0, or in Omega1 when q annihilates the
-    accessory continued fraction (minimal-solution case).  The other two
-    variants always require the continued-fraction condition on q, plus
-    x in Omega1_minus (skipped when k = 1 makes the domain degenerate)
-    and off the cut [1, infinity), where their 2F1 factors live.
-
-    In the minimal-solution case the coefficients come from Miller's
-    backward ratios started well past N; forward recursion would follow
-    the dominant solution there.  Elsewhere they come from forward
-    recursion over the same closed-form rows.
+    MERGE_AT_0 on Omega0 sums the coefficients of forward recursion.
+    Anywhere else the series converges only when its coefficients are
+    the minimal solution of the expansion's own recursion, i.e. when q
+    annihilates the expansion's own continued fraction: MERGE_AT_0 on
+    Omega1, and the other two variants on Omega1_minus (not checked when
+    k = 1 makes the domain degenerate) off the cut [1, infinity), where
+    their 2F1 factors live.  There the coefficients come from Miller's
+    backward ratios over rows run well past N (`_minimal_coefficients`),
+    which also gate q on the fraction of those rows; forward recursion
+    would follow the dominant solution.
     """
     x = complex(x)
     qd = _q_scale(h, lm_form) * q
     if v is ExpansionVariant.MERGE_AT_0:
         dom = ConvergenceDomain(h.a)
         if dom.contains(x, "omega0"):
-            X = _sum_coefficients(h, v, qd, N)
+            X = _sum_coefficients(h, qd, N)
+        elif dom.contains(x, "omega1"):
+            X = _minimal_coefficients(h, v, q, qd, N)
         else:
-            ok = False
-            if dom.contains(x, "omega1"):
-                cf = continued_fraction(h, q, CF_DEFAULT_DEPTH, lm_form)
-                ok = abs(cf) <= 1e-6 * max(1.0, abs(q))
-            if not ok:
-                raise DomainError(
-                    "x = %r outside Omega0 (and not an Omega1 minimal-solution "
-                    "case) for a = %r" % (x, h.a))
-            top = max(2 * N, N + 48)
-            r = _backward_ratios(_lists(_row_table(h, v, top)), qd)
-            X = [1.0 + 0j]
-            for m in range(N):
-                X.append(X[m] * r[m])
+            raise DomainError("x = %r outside Omega1 for a = %r" % (x, h.a))
         return _phi1_sum(h, X, x)
     if _on_real_cut(x):
         raise DomainError("x = %r lies on the cut [1, inf)" % (x,))
-    # The bases merging at 1 or infinity have the reciprocal term-ratio
-    # asymptotics, so their series converges only when the coefficient
-    # recursion follows its minimal solution, i.e. when q annihilates the
-    # accessory continued fraction; at any other q it diverges at every x
-    cf = continued_fraction(h, q, max(CF_DEFAULT_DEPTH, N), lm_form)
-    if abs(cf) > 1e-6 * max(1.0, abs(q)):
-        raise DomainError(
-            "q = %r does not annihilate the accessory continued fraction "
-            "(value %.2e); the %s series diverges for every x"
-            % (q, abs(cf), v.value))
     try:
         if not ConvergenceDomain(h.a).contains(x, "omega1_minus"):
             raise DomainError(
@@ -722,8 +706,10 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
     except DegenerateDomainError:
         # k = 1 collapses the two-disc picture; only the cut is excluded
         pass
+    # The bases merging at 1 or infinity have the reciprocal term-ratio
+    # asymptotics, so their series converges only on the minimal solution
+    X = _minimal_coefficients(h, v, q, qd, N)
     u = _variant_basis(h, v)
-    X = _sum_coefficients(h, v, qd, N)
     total = 0j
     for n in range(N + 1):
         total += X[n] * u(n, x)

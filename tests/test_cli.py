@@ -84,17 +84,48 @@ def _cz(z) -> str:
     return "%r,%r" % (z.real, z.imag)
 
 
-def test_expand_divergent_variant_sum_is_unconverged(capsys):
-    # the MERGE_AT_0 root is not a MERGE_AT_1 root; the sum blows up
-    code, out, err = _run(capsys, "expand", *_GEN_FLAGS,
-                          "--q=-0.00586200383124912", "--x=-1",
-                          "--variant=merge_at_1")
-    assert code == 2
-    assert err.startswith("claim violated:")
+def test_expand_refuses_merge_at_0_root_for_merge_at_1(capsys):
+    # the MERGE_AT_0 root does not annihilate MERGE_AT_1's own fraction,
+    # so its sum would diverge; the point is refused like any outside one
+    code, out, _ = _run(capsys, "expand", *_GEN_FLAGS,
+                        "--q=-0.00586200383124912", "--x=-1",
+                        "--variant=merge_at_1")
+    assert code == 0
     header, row = out.splitlines()
     assert header.endswith("tail_estimate,status")
-    assert row.endswith(",unconverged")
-    assert float(row.split(",")[4]) > 1e40
+    fields = row.split(",", 5)
+    assert fields[2:5] == ["", "", ""]
+    assert fields[5].startswith("outside:")
+
+
+def test_expand_depth_one_is_unconverged(capsys):
+    # one term against the sum itself would read a zero tail
+    code, out, err = _run(capsys, "expand", *_GEN_FLAGS, "--q=0.3", "--x=0.1",
+                          "--depth=1", "--format=json")
+    assert code == 2 and err.startswith("claim violated:")
+    (row,) = json.loads(out)["rows"]
+    assert row[5] == "unconverged"
+    assert row[4] > 0.1
+
+
+def test_expand_unevaluable_point_is_refused_per_row(capsys):
+    flags, _ = _terminating_case()
+    code, out, _ = _run(capsys, "expand", *flags, "--q=-1.1", "--x=0.5,0.5",
+                        "--x=0.1", "--format=json")
+    assert code == 0
+    far, near = json.loads(out)["rows"]
+    assert far[2:5] == ["", "", ""] and far[5].startswith("outside:")
+    assert near[5] == "ok" and isinstance(near[2], float)
+
+
+@pytest.mark.parametrize("bad", ["--a=1", "--alpha=x"])
+def test_expand_bad_parameters_exit_1(capsys, bad):
+    flags, _ = _terminating_case()
+    flags = [bad if f.split("=")[0] == bad.split("=")[0] else f for f in flags]
+    code, out, err = _run(capsys, "expand", *flags, "--q=-1.1", "--x=0.1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_expand_terminating_point_is_ok(capsys):

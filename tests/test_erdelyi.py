@@ -36,7 +36,7 @@ from fuchsia_heun.erdelyi import (
     terminating_accessory_matrix,
     terminating_accessory_set,
 )
-from fuchsia_heun.erdelyi import _row_table, _sum_coefficients
+from fuchsia_heun.erdelyi import _cf_slope, _lists, _row_table, _sum_coefficients
 from fuchsia_heun.frobenius import apparent_q_set
 from fuchsia_heun.frobenius import local_series
 
@@ -298,6 +298,41 @@ def test_printed_form_set_is_scaled_oracle_set():
     assert multiset_gap(printed, [r / ab for r in oracle]) < 1e-9
 
 
+def test_box_returns_every_root_of_the_table_spectrum():
+    # -2.871054 sits within 1e-5 of a fraction pole, so its Newton basin
+    # is narrow; the eigenvalue of the truncated table lands inside it
+    h = _GEN
+    roots = accessory_roots_cf(h, box=(-3.0, 3.0, -3.0, 3.0))
+    assert len(roots) == 3
+    K, Lbar, M = _row_table(h, ExpansionVariant.MERGE_AT_0, 95)
+    lams = np.linalg.eigvals(np.diag(Lbar) + np.diag(K[1:], -1)
+                             + np.diag(M[:-1], 1))
+    for r in roots:
+        assert np.min(np.abs(lams - r)) < 1e-12
+    assert [round(r.real, 6) for r in roots] == [-2.871054, -0.570224, -0.005862]
+
+
+def test_printed_roots_are_oracle_roots_over_alpha_beta():
+    h = _heun(a=0.25, q=0.0, alpha=0.33, gamma=0.41, delta=0.57, epsilon=-2.0)
+    ab = h.alpha * h.beta
+    oracle = accessory_roots_cf(h)
+    printed = accessory_roots_cf(h, lm_form="printed")
+    assert len(printed) == 3
+    assert multiset_gap(printed, [r / ab for r in oracle]) < 1e-12
+
+
+@pytest.mark.parametrize("q", [0.3, -1.0 + 0.5j, 2.0 - 0.7j])
+def test_cf_slope_matches_central_difference(q):
+    h = _GEN
+    rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, 47))
+    for s in (1.0, h.alpha * h.beta):
+        f, fp = _cf_slope(rows, s, q)
+        assert f == pytest.approx(continued_fraction(h, s * q, 48), abs=1e-13)
+        e = 1e-6
+        fd = (_cf_slope(rows, s, q + e)[0] - _cf_slope(rows, s, q - e)[0]) / (2 * e)
+        assert abs(fd - fp) <= 1e-6 * abs(fp)
+
+
 def test_empty_box_returns_no_roots():
     assert accessory_roots_cf(_GEN, box=(1.0, -1.0, -1.0, 1.0)) == []
 
@@ -391,6 +426,27 @@ def test_omega1_minimal_sum_matches_ode_at_every_depth():
             assert not ConvergenceDomain(h.a).contains(x, "omega0")
             got = sum_expansion(h, qstar, x, N) / far[x]
             assert abs(got / scale - 1.0) < 1e-11
+
+
+def test_merge_at_1_sum_at_its_own_root_matches_ode():
+    # MERGE_AT_1's own fraction root, not a MERGE_AT_0 root; its basis is
+    # regular at 0, so the sum is a multiple of the Frobenius solution
+    # there, continued by the ODE to points of Omega1_minus.  N stops at
+    # 100: past that the 2F1 factors themselves lose accuracy near 0.6j
+    h = _GEN
+    qstar = -0.014876456705951299
+    ls = local_series(_with_q(h, qstar), 0.0, 0.0, 60)
+    x0 = 0.1
+    path = [x0, 0.1 + 0.3j, -0.2 + 0.6j, -0.6 + 0.5j, -1.0]
+    far = _heun_ode_along(h, qstar, path, [ls(x0), ls.derivative(x0)])
+    for N in (40, 64, 100):
+        ratios = [sum_expansion(h, qstar, x, N, ExpansionVariant.MERGE_AT_1)
+                  / far[x] for x in path[2:]]
+        for r in ratios[1:]:
+            assert abs(r / ratios[0] - 1.0) < 1e-10, N
+    with pytest.raises(DomainError, match="merge_at_1"):
+        sum_expansion(h, -0.00586200383124912, -1.0, 40,
+                      ExpansionVariant.MERGE_AT_1)
 
 
 # ------------------------------------------------------------------- domains
@@ -497,7 +553,7 @@ def test_sum_with_gamma_denominator_pole_raises():
 def test_stepped_prefactor_sum_matches_phi1_terms(h, x):
     assert ConvergenceDomain(h.a).contains(x, "omega0")
     for n in (1, 16, 64, 128, 200):
-        X = _sum_coefficients(h, ExpansionVariant.MERGE_AT_0, h.q, n)
+        X = _sum_coefficients(h, h.q, n)
         ref = sum(X[m] * phi1(h, m, x) for m in range(n + 1))
         got = sum_expansion(h, h.q, x, n)
         assert abs(got - ref) <= 1e-13 * abs(ref), n
