@@ -578,6 +578,9 @@ def _phi1_sum(h: HeunParameters, X, x: complex) -> complex:
     then stepped by (alpha-delta+m+1)(beta-delta+m+1) / ((w+2m+1)(w+2m+2));
     x^m is a running product.  A step denominator vanishes only when w+1
     is a non-positive integer, and then the m = 0 2F1 already raises.
+    Indices whose coefficient is exactly zero are skipped (the prefactor
+    and x^m still step across them), so a terminating expansion costs
+    m + 1 basis evaluations at any length of X.
     """
     a1 = h.alpha - h.delta + 1
     b1 = h.beta - h.delta + 1
@@ -588,6 +591,8 @@ def _phi1_sum(h: HeunParameters, X, x: complex) -> complex:
         if m:
             pref *= (a1 + m - 1) * (b1 + m - 1) / ((w + 2 * m - 1) * (w + 2 * m))
             xm *= x
+        if X[m] == 0:
+            continue
         f = gauss_2f1(HypergeometricParameters(h.alpha + m, h.beta + m,
                                                w + 2 * m + 1), x)
         total += X[m] * (pref * xm * f)
@@ -685,6 +690,11 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
     backward ratios over rows run well past N (`_minimal_coefficients`),
     which also gate q on the fraction of those rows; forward recursion
     would follow the dominant solution.
+
+    Terms whose coefficient is exactly zero are skipped without evaluating
+    their basis function.  A terminating expansion (epsilon = -m, q in the
+    terminating set) has exact zeros past index m in every variant, so it
+    costs m + 1 basis evaluations at any N.
     """
     x = complex(x)
     qd = _q_scale(h, lm_form) * q
@@ -712,5 +722,6 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
     u = _variant_basis(h, v)
     total = 0j
     for n in range(N + 1):
-        total += X[n] * u(n, x)
+        if X[n] != 0:
+            total += X[n] * u(n, x)
     return total

@@ -81,7 +81,8 @@ def _series(a: complex, b: complex, c: complex, x: complex,
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * x
         total += term
         if stop is None:
-            if abs(term) <= tol * max(1.0, abs(total)):
+            scale = abs(total)
+            if abs(term) <= (tol * scale if scale > 1.0 else tol):
                 small_streak += 1
                 if small_streak >= 2:
                     return total

@@ -306,10 +306,6 @@ class MonodromyRep:
                 return m
         raise UnknownPointError(f"no monodromy matrix stored for {point}")
 
-    def eigenvalues_at(self, point) -> list:
-        return [lam for lam, _ in
-                eig_small(self.matrix_at(point), residual_tol=1e-6)]
-
     def to_json(self) -> str:
         def mat(m):
             return [[[m[i, j].real, m[i, j].imag] for j in range(2)]

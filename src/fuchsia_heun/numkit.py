@@ -47,8 +47,9 @@ def near_integer(v: complex, tol: float = INTEGER_TOL) -> Optional[int]:
     The test is |v - round(Re v)| <= tol * max(1, |v|), which also rejects
     values with a non-negligible imaginary part.
     """
-    n = int(round(float(np.real(v))))
-    if abs(v - n) <= tol * max(1.0, abs(v)):
+    n = round(complex(v).real)
+    scale = abs(v)
+    if abs(v - n) <= (tol * scale if scale > 1.0 else tol):
         return n
     return None
 

@@ -36,9 +36,11 @@ from fuchsia_heun.erdelyi import (
     terminating_accessory_matrix,
     terminating_accessory_set,
 )
+from fuchsia_heun import erdelyi
 from fuchsia_heun.erdelyi import _cf_slope, _lists, _row_table, _sum_coefficients
 from fuchsia_heun.frobenius import apparent_q_set
 from fuchsia_heun.frobenius import local_series
+from fuchsia_heun.hypergeom import gauss_2f1
 
 ROW_MATCH_TOL = 1e-12
 CF_ROOT_TOL = 1e-8
@@ -60,6 +62,10 @@ _GEN = _heun(a=0.25, q=0.3, alpha=0.33, gamma=0.41, delta=0.57, epsilon=0.24)
 
 # terminating second-type reference set (epsilon = -2, k = 1 degenerate)
 _TERM2 = _heun(a=3.0, q=0.0, alpha=0.37, gamma=0.3, delta=0.41, epsilon=-2.0)
+
+# epsilon = -2 at the modulus of _GEN, where MERGE_AT_0 has an Omega0
+_TERM2_OMEGA0 = _heun(a=0.25, q=0.0, alpha=0.33, gamma=0.41, delta=0.57,
+                      epsilon=-2.0)
 
 
 # ------------------------------------------------- exact substitution oracle
@@ -621,6 +627,46 @@ def test_merge_at_1_long_terminating_sum_matches_local_series():
               for x in (0.1, 0.15, -0.1 + 0.1j)]
     for r in ratios[1:]:
         assert abs(r - ratios[0]) < 1e-9 * abs(ratios[0])
+
+
+@pytest.mark.parametrize("v, ref", [
+    (ExpansionVariant.MERGE_AT_1, -1.735151107220747 + 0.0352286917764042j),
+    (ExpansionVariant.MERGE_AT_INFINITY,
+     -146.09364038589865 + 2.9661323479303316j),
+], ids=["merge_at_1", "merge_at_infinity"])
+def test_long_terminating_variant_sum_equals_short_sum(v, ref):
+    # the basis functions past n = 2 carry exact-zero coefficients; at large
+    # n the MERGE_AT_1 ones do not even converge as 2F1 series
+    q = terminating_accessory_set(_TERM2)[0]
+    short = sum_expansion(_TERM2, q, 0.3 + 0.2j, 40, v)
+    assert abs(short - ref) <= 1e-12 * abs(ref)
+    assert sum_expansion(_TERM2, q, 0.3 + 0.2j, 400, v) == short
+
+
+def test_long_terminating_merge_at_0_sum_equals_short_sum():
+    x = 0.05 + 0.02j
+    assert ConvergenceDomain(_TERM2_OMEGA0.a).contains(x, "omega0")
+    for q in terminating_accessory_set(_TERM2_OMEGA0):
+        assert (sum_expansion(_TERM2_OMEGA0, q, x, 400)
+                == sum_expansion(_TERM2_OMEGA0, q, x, 40))
+
+
+def test_terminating_sum_evaluates_only_nonzero_terms(monkeypatch):
+    calls = []
+
+    def counting_2f1(p, x, *args, **kwargs):
+        calls.append(p)
+        return gauss_2f1(p, x, *args, **kwargs)
+
+    monkeypatch.setattr(erdelyi, "gauss_2f1", counting_2f1)
+    cases = [(_TERM2_OMEGA0, 0.05 + 0.02j, ExpansionVariant.MERGE_AT_0),
+             (_TERM2, 0.3 + 0.2j, ExpansionVariant.MERGE_AT_1),
+             (_TERM2, 0.3 + 0.2j, ExpansionVariant.MERGE_AT_INFINITY)]
+    for h, x, v in cases:
+        for q in terminating_accessory_set(h):
+            calls.clear()
+            sum_expansion(h, q, x, 40, v)
+            assert 0 < len(calls) <= 3, (v, q, len(calls))
 
 
 def test_variant_divergence_gate_for_generic_accessory():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import multiset_gap, eigenvalues, random_diagonalisable
 from fuchsia_heun.numkit import (
@@ -36,6 +36,54 @@ def test_near_integer_rejects_far_values():
     assert near_integer(2.5) is None
     assert near_integer(1.0 + 0.01j) is None
     assert near_integer(0.3) is None
+
+
+def _near_integer_reference(v, tol):
+    """The numpy-based form of near_integer, kept as the reference."""
+    n = int(round(float(np.real(v))))
+    if abs(v - n) <= tol * max(1.0, abs(v)):
+        return n
+    return None
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_near_ints = st.builds(lambda k, d: k + d, st.integers(-10**6, 10**6),
+                       st.floats(-1e-6, 1e-6))
+# offsets around tol * |v| for small |v|, where the relative scale matters
+_tol_edge = st.builds(lambda k, d: k + d, st.integers(-3, 3),
+                      st.floats(-5e-8, 5e-8))
+_complexes = st.one_of(
+    st.complex_numbers(**_finite),
+    st.complex_numbers(max_magnitude=4.0, **_finite),
+    st.builds(complex, _near_ints, st.floats(-1e-6, 1e-6)),
+    st.builds(complex, _tol_edge, st.floats(-5e-8, 5e-8)),
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1 + 1e-9j, 0.5 + 0j, 1j]),
+)
+_reals = st.one_of(
+    st.floats(**_finite),
+    _near_ints,
+    _tol_edge,
+    st.sampled_from([0.0, 1.0, -1.0, 1.0 + 1e-9, 0.5, -0.5, 1e-300]),
+)
+_inputs = st.one_of(_complexes, _reals, st.integers(),
+                    _complexes.map(np.complex128), _reals.map(np.float64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_inputs, st.sampled_from([1e-8, 1e-10]))
+@example(2.0 - 1.5e-8, 1e-8)       # within tol * |v| but not within tol
+@example(np.float64(-3.0 + 2.5e-10), 1e-10)
+@example(complex(2.0 + 1.5e-8, 1e-9), 1e-8)
+@example(np.complex128(1.0 - 1.5e-10), 1e-10)
+def test_near_integer_matches_numpy_reference(v, tol):
+    try:
+        ref = _near_integer_reference(v, tol)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            near_integer(v, tol=tol)
+        return
+    got = near_integer(v, tol=tol)
+    assert got == ref and type(got) is type(ref)
 
 
 # --------------------------------------------------------------------- CPoly
