@@ -66,7 +66,6 @@ from .hypergeom import (
 from .monodromy import (
     LoopPath,
     MonodromyRep,
-    apparent_at,
     fan_loop,
     infinity_loop,
     integrate_fundamental,
@@ -112,7 +111,7 @@ __all__ = [
     "polynomial_q_set",
     "HypergeometricParameters", "classify_special", "d_gauss_2f1",
     "gauss_2f1",
-    "LoopPath", "MonodromyRep", "apparent_at", "fan_loop", "infinity_loop",
+    "LoopPath", "MonodromyRep", "fan_loop", "infinity_loop",
     "integrate_fundamental", "invariant_line", "monodromy_rep",
     "IsomonodromicData", "ThetaData", "hamiltonian", "heun_from_theta",
     "matching_report", "special_case_flags",

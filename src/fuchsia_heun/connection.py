@@ -12,6 +12,7 @@ realization of the hypergeometric equation verbatim (see
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -444,81 +445,41 @@ def to_scalar(c: FuchsianConnection) -> Tuple[ScalarODE, RiemannScheme]:
     return ScalarODE(p1, p0), RiemannScheme(tuple(cols), tuple(apparent)).normalized()
 
 
-def _twist_scheme(s: RiemannScheme, point, mu: complex) -> RiemannScheme:
-    cols = []
-    for p, (e1, e2) in s.columns:
-        same = (p == point) if (INFINITY in (p, point)) else abs(p - point) <= 1e-9
-        if same:
-            cols.append((p, (e1 + mu, e2 + mu)))
-        elif p == INFINITY:
-            cols.append((p, (e1 - mu, e2 - mu)))
-        else:
-            cols.append((p, (e1, e2)))
-    return RiemannScheme(tuple(cols), s.apparent_points).normalized()
-
-
-_PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _column_exponents(sch: RiemannScheme, point):
-    for p, es in sch.columns:
-        if p == point:
-            return es
-        if p != INFINITY and point != INFINITY and abs(complex(p) - complex(point)) <= 1e-9:
-            return es
-    raise UnknownPointError(f"no column at {point}")
-
-
-def _kummer_images(sch: RiemannScheme) -> list:
-    """The 24 classical substitutions applied to one scheme.
-
-    Each image is a relabeling of the three exponent pairs over the point
-    slots followed, at each of the (first two) finite points, by the twist
-    that zeroes one chosen local exponent, shifting the infinity column
-    oppositely.
-    """
-    pts = [p for p, _ in sch.columns]
-    pairs = [es for _, es in sch.columns]
-    finite = [p for p in pts if p != INFINITY][:2]
-    out = []
-    for perm in _PERMS3:
-        base = RiemannScheme(tuple((pts[i], pairs[perm[i]])
-                                   for i in range(3))).normalized()
-        for choice_a in (0, 1):
-            for choice_b in (0, 1):
-                cand = base
-                for p, pick in zip(finite, (choice_a, choice_b)):
-                    cand = _twist_scheme(cand, p, -_column_exponents(cand, p)[pick])
-                out.append(cand.normalized())
-    return out
-
-
 def kummer_orbit(s: RiemannScheme) -> list:
-    """Substitution orbit of a three-column scheme.
+    """Kummer's substitution orbit of a scheme on two finite points and infinity.
 
-    The generating moves are the six relabelings of the three point slots
-    (exponent pairs carried along) combined with the normalising twists
-    that zero one exponent in each finite column; the infinity column takes
-    the opposite shifts.  The closure is deduplicated up to column order and
-    within-column exponent order: a generic scheme yields 24 members, one
-    per classical solution representation, and degenerate schemes collapse
-    to fewer.
+    The 24 classical substitutions form the group S3 x (Z/2)^2 acting on
+    the exponent pairs (cf. Maier, Math. Comp. 76, 2007): S3 places the
+    three pairs on the slots (p0, p1, infinity), and at each finite point
+    one exponent s0 (at p0) or s1 (at p1) is chosen and zeroed by a twist
+    whose opposite shift lands on the infinity column.  Each image is
+    ({e0 - s0}, {e1 - s1}, {einf + s0 + s1}), and since images of images
+    are again images, one pass over the 24 gives the whole orbit.  Images
+    are deduplicated up to column order and within-column exponent order
+    (``close_to``): a generic scheme yields 24 members, degenerate schemes
+    fewer.  Every member has the seed's exponent sum, and the seed itself
+    is a member exactly when it has a zero exponent at both finite points.
+    A scheme without two finite columns and one INFINITY column raises
+    ShapeError.
     """
     s = s.normalized()
-    if len(s.columns) != 3:
-        raise ShapeError("kummer_orbit needs a scheme with exactly three columns")
+    pts = [p for p, _ in s.columns]
+    if len(pts) != 3 or pts.count(INFINITY) != 1:
+        raise ShapeError("kummer_orbit needs two finite columns and one "
+                         "INFINITY column")
+    p0, p1, _ = pts  # normalized order puts infinity last
+    pairs = [es for _, es in s.columns]
     orbit: list = []
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for sch in frontier:
-            for cand in _kummer_images(sch):
+    for i, j, k in itertools.permutations(range(3)):
+        for s0 in pairs[i]:
+            for s1 in pairs[j]:
+                cand = RiemannScheme((
+                    (p0, tuple(e - s0 for e in pairs[i])),
+                    (p1, tuple(e - s1 for e in pairs[j])),
+                    (INFINITY, tuple(e + s0 + s1 for e in pairs[k])),
+                )).normalized()
                 if not any(cand.close_to(known) for known in orbit):
                     orbit.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-        if len(orbit) > 200:  # safety: the normalised family must be finite
-            raise ArithmeticError("Kummer orbit failed to close; scheme ill-conditioned")
     return orbit
 
 

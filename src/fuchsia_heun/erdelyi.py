@@ -17,10 +17,10 @@ K_m X_{m-1} + L_m X_m + M_m X_{m+1} = 0 whose rows are closed forms in
 the parameters.  Only the diagonal depends on the accessory parameter,
 L_m = Lbar_m - q, so the q-free rows are built once per parameter set
 as arrays and shared by the sequence, the continued fraction, the
-terminating matrix and the sums.  The published form of the first
+terminating matrix and the sums.  Erdelyi's printed table for the first
 family has "- alpha beta q" in L_m where direct substitution of the
-expansion into the operator gives "- q"; `lm_form` selects "printed"
-or "oracle", the default, which the substitution oracle validates.
+expansion into the operator gives "- q"; the substituted form is used
+throughout, and the substitution oracle validates it.
 
 The roots in q of the continued fraction of a table truncated at depth d
 are the eigenvalues of its d x d tridiagonal matrix (the classical matrix
@@ -193,9 +193,8 @@ def _row_table(h: HeunParameters, v: ExpansionVariant, n: int):
 
     Returns complex arrays (K, Lbar, M) such that row j reads
     K_j X_{j-1} + (Lbar_j - q) X_j + M_j X_{j+1} = 0, with K_0 = 0; the
-    accessory parameter enters the diagonal only (see `_q_scale`).  Every
-    entry is a closed form in the parameters; a vanishing denominator
-    raises ResonanceError.
+    accessory parameter enters the diagonal only.  Every entry is a closed
+    form in the parameters; a vanishing denominator raises ResonanceError.
     """
     if v is ExpansionVariant.MERGE_AT_0:
         return _rows_merge_at_0(h, n)
@@ -204,37 +203,28 @@ def _row_table(h: HeunParameters, v: ExpansionVariant, n: int):
     return _rows_merge_at_infinity(h, n)
 
 
-def _q_scale(h: HeunParameters, lm_form: str) -> complex:
-    """Factor s with L_m = Lbar_m - s q for the requested L-form."""
-    if lm_form == "oracle":
-        return 1.0
-    if lm_form == "printed":
-        return h.alpha * h.beta
-    raise PreconditionError("lm_form must be 'oracle' or 'printed'")
-
-
 def _lists(rows):
     # plain Python complex arithmetic is several times faster than numpy
     # scalars in the sequential recursions below
     return tuple(r.tolist() for r in rows)
 
 
-def _forward(rows, qd: complex, N: int):
-    """X_0..X_N from X_0 = 1 by forward recursion; qd is s q (`_q_scale`)."""
+def _forward(rows, q: complex, N: int):
+    """X_0..X_N from X_0 = 1 by forward recursion."""
     K, Lbar, M = rows
     X = [1.0 + 0j]
     for m in range(N):
         if M[m] == 0:
             raise BreakdownError(m, "M coefficient vanishes")
         prev = K[m] * X[m - 1] if m else 0j
-        X.append(-(prev + (Lbar[m] - qd) * X[m]) / M[m])
+        X.append(-(prev + (Lbar[m] - q) * X[m]) / M[m])
     return X
 
 
-def _backward_ratios(rows, qd: complex):
+def _backward_ratios(rows, q: complex):
     """Ratios r_m = X_{m+1}/X_m, m = 0..top, of the minimal solution.
 
-    Miller's backward recursion r_{m-1} = -K_m / (Lbar_m - qd + M_m r_m)
+    Miller's backward recursion r_{m-1} = -K_m / (Lbar_m - q + M_m r_m)
     from r_top = 0 over rows 1..top, the last row of the table (Gautschi,
     SIAM Rev. 9, 1967).
     """
@@ -242,46 +232,40 @@ def _backward_ratios(rows, qd: complex):
     top = len(Lbar) - 1
     r = [0j] * (top + 1)
     for m in range(top, 0, -1):
-        den = Lbar[m] - qd + M[m] * r[m]
+        den = Lbar[m] - q + M[m] * r[m]
         if den == 0:
             raise BreakdownError(m, "continued-fraction tail vanishes")
         r[m - 1] = -K[m] / den
     return r
 
 
-def _cf_value(rows, qd: complex) -> complex:
+def _cf_value(rows, q: complex) -> complex:
     """Continued fraction truncated at the depth of the table."""
     _K, Lbar, M = rows
-    return (Lbar[0] - qd) / M[0] + _backward_ratios(rows, qd)[0]
+    return (Lbar[0] - q) / M[0] + _backward_ratios(rows, q)[0]
 
 
-def klm(h: HeunParameters, m: int, lm_form: str = "oracle") -> ErdelyiCoefficients:
+def klm(h: HeunParameters, m: int) -> ErdelyiCoefficients:
     """Recursion row coefficients K_m, L_m, M_m (q taken from h.q).
 
     The published tables give K at index m+1 and M at index m-1; both are
     shifted here so that row m of K_m X_{m-1} + L_m X_m + M_m X_{m+1} = 0
-    is returned directly.  L_m carries the accessory parameter; its form
-    is controlled by lm_form ("oracle" default, "printed" for the
-    published "- alpha beta q" grouping).
+    is returned directly.  L_m = Lbar_m - q carries the accessory parameter.
     """
     if m < 0:
         raise PreconditionError("row index must be nonnegative")
-    s = _q_scale(h, lm_form)
     K, Lbar, M = _row_table(h, ExpansionVariant.MERGE_AT_0, m)
     return ErdelyiCoefficients(index=m, K=complex(K[m]),
-                               L=complex(Lbar[m] - s * h.q), M=complex(M[m]))
+                               L=complex(Lbar[m] - h.q), M=complex(M[m]))
 
 
-def recurrence_sequence(h: HeunParameters, q: complex, N: int,
-                        lm_form: str = "oracle"):
+def recurrence_sequence(h: HeunParameters, q: complex, N: int):
     """X_0..X_N with X_0 = 1, L_0 X_0 + M_0 X_1 = 0, then the three-term rows."""
-    s = _q_scale(h, lm_form)
     rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, max(N - 1, 0)))
-    return _forward(rows, s * q, N)
+    return _forward(rows, q, N)
 
 
-def continued_fraction(h: HeunParameters, q: complex, depth: int,
-                       lm_form: str = "oracle") -> complex:
+def continued_fraction(h: HeunParameters, q: complex, depth: int) -> complex:
     """Truncated accessory continued fraction, evaluated backward.
 
     Value of L_0/M_0 - (K_1/M_1)/(L_1/M_1 - (K_2/M_2)/(...)) using rows
@@ -292,21 +276,19 @@ def continued_fraction(h: HeunParameters, q: complex, depth: int,
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    s = _q_scale(h, lm_form)
     rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, depth - 1))
     zero = np.flatnonzero(np.asarray(rows[2]) == 0)
     if zero.size:
         raise BreakdownError(int(zero[0]), "M coefficient vanishes")
-    return _cf_value(rows, s * q)
+    return _cf_value(rows, q)
 
 
 def terminating_accessory_matrix(h: HeunParameters) -> np.ndarray:
     """Tridiagonal matrix whose eigenvalues give the terminating q set.
 
     Requires epsilon = -m (within 1e-8).  Row i of the recursion with the
-    q-term split off reads K_i X_{i-1} + Lbar_i X_i + M_i X_{i+1} = q X_i
-    for the oracle form of L; since K_{m+1} = 0 when epsilon = -m, rows
-    0..m close on themselves.
+    q-term split off reads K_i X_{i-1} + Lbar_i X_i + M_i X_{i+1} = q X_i;
+    since K_{m+1} = 0 when epsilon = -m, rows 0..m close on themselves.
     """
     mi = near_integer(-h.epsilon, tol=1e-8)
     if mi is None or mi < 0:
@@ -316,50 +298,38 @@ def terminating_accessory_matrix(h: HeunParameters) -> np.ndarray:
 
 
 def _tridiagonal(rows) -> np.ndarray:
-    """The rows as a square matrix: q X = T X is the recursion in oracle form."""
+    """The rows as a square matrix: q X = T X is the recursion."""
     K, Lbar, M = rows
     return np.diag(Lbar) + np.diag(K[1:], -1) + np.diag(M[:-1], 1)
 
 
-def terminating_accessory_set(h: HeunParameters, lm_form: str = "oracle"):
-    """Terminating accessory values for epsilon = -m, as a sorted list.
-
-    With the oracle L-form the values are the eigenvalues of the
-    terminating matrix; the printed form rescales them by 1/(alpha beta).
-    """
-    T = terminating_accessory_matrix(h)
-    vals = [lam for lam, _ in eig_small(T)]
-    if lm_form == "printed":
-        ab = h.alpha * h.beta
-        if abs(ab) <= 1e-14:
-            raise PreconditionError(
-                "printed L-form requires alpha*beta != 0 for the q scaling")
-        vals = [v / ab for v in vals]
-    return sorted((complex(v) for v in vals),
-                  key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+def terminating_accessory_set(h: HeunParameters):
+    """Terminating accessory values for epsilon = -m: the eigenvalues of the
+    terminating matrix, as a sorted list."""
+    vals = [complex(lam) for lam, _ in eig_small(terminating_accessory_matrix(h))]
+    return sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
-def _cf_slope(rows, s: complex, q: complex):
+def _cf_slope(rows, q: complex):
     """Truncated fraction at q and its q-derivative, in one backward sweep.
 
-    r_{m-1} = -K_m / (Lbar_m - s q + M_m r_m) is differentiated alongside
-    its value: dr_{m-1}/dq = K_m (M_m dr_m/dq - s) / (Lbar_m - s q + M_m r_m)^2.
+    r_{m-1} = -K_m / (Lbar_m - q + M_m r_m) is differentiated alongside
+    its value: dr_{m-1}/dq = K_m (M_m dr_m/dq - 1) / (Lbar_m - q + M_m r_m)^2.
     """
     K, Lbar, M = rows
-    qd = s * q
     r = dr = 0j
     for m in range(len(Lbar) - 1, 0, -1):
-        den = Lbar[m] - qd + M[m] * r
-        r, dr = -K[m] / den, K[m] * (M[m] * dr - s) / (den * den)
-    return (Lbar[0] - qd) / M[0] + r, dr - s / M[0]
+        den = Lbar[m] - q + M[m] * r
+        r, dr = -K[m] / den, K[m] * (M[m] * dr - 1.0) / (den * den)
+    return (Lbar[0] - q) / M[0] + r, dr - 1.0 / M[0]
 
 
-def _cf_newton(rows, s, q0, maxiter=60):
+def _cf_newton(rows, q0, maxiter=60):
     """Newton iteration on the truncated continued fraction; None on failure."""
     z = complex(q0)
     for _ in range(maxiter):
         try:
-            f, fp = _cf_slope(rows, s, z)
+            f, fp = _cf_slope(rows, z)
             step = f / fp
         except ZeroDivisionError:
             return None
@@ -372,8 +342,7 @@ def _cf_newton(rows, s, q0, maxiter=60):
 
 
 def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
-                       box=None, tol: float = ROOT_TOL,
-                       lm_form: str = "oracle"):
+                       box=None, tol: float = ROOT_TOL):
     """Roots in q of the accessory continued fraction inside a search box.
 
     The zeros of the fraction truncated at depth d are the eigenvalues of
@@ -399,7 +368,6 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
     -------
     list of complex, sorted lexicographically.
     """
-    s = _q_scale(h, lm_form)
     re_lo, re_hi, im_lo, im_hi = box or (-np.inf, np.inf, -np.inf, np.inf)
     if re_lo > re_hi or im_lo > im_hi:
         return []
@@ -425,15 +393,15 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
             "fraction degenerates (beta - delta or gamma integral)")
     T = terminating_accessory_matrix(h) if box is None else _tridiagonal(table)
     roots = []
-    for seed in np.linalg.eigvals(T) / s:
+    for seed in np.linalg.eigvals(T):
         if not inside(seed):
             continue
-        z = _cf_newton(rows_at(depth), s, seed)
-        z1 = None if z is None else _cf_newton(rows_at(2 * depth), s, z)
+        z = _cf_newton(rows_at(depth), seed)
+        z1 = None if z is None else _cf_newton(rows_at(2 * depth), z)
         if z1 is None:
             continue
         if abs(z1 - z) > tol * max(1.0, abs(z)):
-            z2 = _cf_newton(rows_at(4 * depth), s, z1)
+            z2 = _cf_newton(rows_at(4 * depth), z1)
             if z2 is None or abs(z2 - z1) > tol * max(1.0, abs(z1)):
                 continue  # truncation artifact
             z1 = z2
@@ -627,7 +595,7 @@ def _variant_basis(h: HeunParameters, v: ExpansionVariant):
     return u
 
 
-def _sum_coefficients(h: HeunParameters, qd: complex, N: int):
+def _sum_coefficients(h: HeunParameters, q: complex, N: int):
     """MERGE_AT_0 X_0..X_N by forward recursion, cut to exact zeros at a
     termination.
 
@@ -641,15 +609,15 @@ def _sum_coefficients(h: HeunParameters, qd: complex, N: int):
     rows = _lists(_row_table(h, ExpansionVariant.MERGE_AT_0, max(N - 1, 0)))
     mi = near_integer(-h.epsilon, tol=1e-8)
     if mi is not None and 0 <= mi < N:
-        X = _forward(rows, qd, mi + 1)
+        X = _forward(rows, q, mi + 1)
         scale = max(abs(v) for v in X[:mi + 1])
         if scale > 0.0 and abs(X[mi + 1]) <= 1e-10 * scale:
             return X[:mi + 1] + [0j] * (N - mi)
-    return _forward(rows, qd, N)
+    return _forward(rows, q, N)
 
 
 def _minimal_coefficients(h: HeunParameters, v: ExpansionVariant, q: complex,
-                          qd: complex, N: int):
+                          N: int):
     """X_0..X_N of the minimal solution of the variant's own recursion.
 
     The rows run to max(2N, N+48); q must annihilate the fraction of that
@@ -663,8 +631,8 @@ def _minimal_coefficients(h: HeunParameters, v: ExpansionVariant, q: complex,
     _K, Lbar, M = rows
     if M[0] == 0:
         raise BreakdownError(0, "M coefficient vanishes")
-    r = _backward_ratios(rows, qd)
-    cf = (Lbar[0] - qd) / M[0] + r[0]       # `_cf_value` of the table
+    r = _backward_ratios(rows, q)
+    cf = (Lbar[0] - q) / M[0] + r[0]        # `_cf_value` of the table
     if not abs(cf) <= 1e-6 * max(1.0, abs(q)):
         raise DomainError(
             "q = %r does not annihilate the %s continued fraction (value "
@@ -676,8 +644,7 @@ def _minimal_coefficients(h: HeunParameters, v: ExpansionVariant, q: complex,
 
 
 def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
-                  v: ExpansionVariant = ExpansionVariant.MERGE_AT_0,
-                  lm_form: str = "oracle") -> complex:
+                  v: ExpansionVariant = ExpansionVariant.MERGE_AT_0) -> complex:
     """Partial sum of the chosen expansion at x, N + 1 terms.
 
     MERGE_AT_0 on Omega0 sums the coefficients of forward recursion.
@@ -697,13 +664,12 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
     costs m + 1 basis evaluations at any N.
     """
     x = complex(x)
-    qd = _q_scale(h, lm_form) * q
     if v is ExpansionVariant.MERGE_AT_0:
         dom = ConvergenceDomain(h.a)
         if dom.contains(x, "omega0"):
-            X = _sum_coefficients(h, qd, N)
+            X = _sum_coefficients(h, q, N)
         elif dom.contains(x, "omega1"):
-            X = _minimal_coefficients(h, v, q, qd, N)
+            X = _minimal_coefficients(h, v, q, N)
         else:
             raise DomainError("x = %r outside Omega1 for a = %r" % (x, h.a))
         return _phi1_sum(h, X, x)
@@ -718,7 +684,7 @@ def sum_expansion(h: HeunParameters, q: complex, x: complex, N: int,
         pass
     # The bases merging at 1 or infinity have the reciprocal term-ratio
     # asymptotics, so their series converges only on the minimal solution
-    X = _minimal_coefficients(h, v, q, qd, N)
+    X = _minimal_coefficients(h, v, q, N)
     u = _variant_basis(h, v)
     total = 0j
     for n in range(N + 1):

@@ -359,12 +359,6 @@ def monodromy_rep(c: FuchsianConnection,
                         product_residual, loop_residual, tuple(dets), tol)
 
 
-def apparent_at(rep: MonodromyRep, point, tol: float = APPARENT_TOL) -> bool:
-    """True iff the monodromy at ``point`` is the identity within ``tol``."""
-    m = rep.matrix_at(point)
-    return bool(np.linalg.norm(m - np.eye(2)) <= tol)
-
-
 def invariant_line(rep: MonodromyRep, tol: float = APPARENT_TOL):
     """Common eigenvector of the finite monodromies, if one exists.
 

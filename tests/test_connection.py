@@ -401,6 +401,89 @@ def test_kummer_orbit_rejects_wrong_column_count():
         kummer_orbit(two_cols)
 
 
+@pytest.mark.parametrize("points", [(0.0, 1.0, 2.0), (0.0, INFINITY, INFINITY)])
+def test_kummer_orbit_rejects_scheme_without_one_infinity_column(points):
+    # every twist shifts the infinity column oppositely, so there must be one
+    pairs = ((0.0, 0.3 + 0.1j), (0.0, -0.45), (0.2, 0.7 - 0.2j))
+    with pytest.raises(ShapeError):
+        kummer_orbit(RiemannScheme(columns=tuple(zip(points, pairs))))
+
+
+def _seeded_schemes():
+    """20 schemes: 8 of hypergeometric systems (zero exponent at both finite
+    points), 8 with arbitrary exponents at arbitrary finite points, 4 with
+    integer exponents."""
+    rng = np.random.default_rng(19)
+
+    def z(scale=1.0):
+        return scale * complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.4, 0.4))
+
+    out = []
+    for _ in range(8):
+        al, ga, de = z(), z(), z()
+        out.append(riemann_scheme(hypergeometric_system(al, -(al + ga + de), ga, de)))
+    for _ in range(8):
+        p0, p1 = z(3.0), 3.0 + z(3.0)
+        out.append(RiemannScheme(columns=(
+            (p0, (z(), z())), (p1, (z(), z())), (INFINITY, (z(), z())))))
+    for _ in range(4):
+        n = [complex(int(k)) for k in rng.integers(-3, 4, size=4)]
+        out.append(RiemannScheme(columns=(
+            (0j, (n[0], n[1])), (1 + 0j, (n[2], z())), (INFINITY, (n[3], z())))))
+    return out
+
+
+_SEEDED = _seeded_schemes()
+
+
+def _within(schemes, orbit) -> bool:
+    """Every scheme is close to an orbit member (`close_to`, vectorised).
+
+    All schemes share the orbit's points, so only the exponent pairs are
+    compared, each in both orders.
+    """
+    def table(ss):
+        return np.array([[es for _, es in s.normalized().columns] for s in ss])
+
+    a, t = table(schemes)[:, None], table(orbit)[None]
+    gap = np.minimum(np.abs(a - t).max(axis=3),
+                     np.abs(a - t[..., ::-1]).max(axis=3)).max(axis=2)
+    return bool((gap.min(axis=1) <= SCHEME_TOL * max(1.0, np.abs(t).max())).all())
+
+
+@pytest.mark.parametrize("i", range(len(_SEEDED)))
+def test_kummer_orbit_seeded_schemes(i):
+    seed = _SEEDED[i]
+    orbit = kummer_orbit(seed)
+    assert len(orbit) == 24  # every draw is generic
+    total = seed.exponent_sum()
+    for member in orbit:
+        assert abs(member.exponent_sum() - total) < 1e-12 * max(1.0, abs(total))
+    for member in orbit:
+        again = kummer_orbit(member)
+        assert len(again) == len(orbit) and _within(again, orbit)
+    zero_at_finite = all(min(abs(e) for e in es) < SCHEME_TOL
+                         for p, es in seed.columns if p != INFINITY)
+    assert any(s.close_to(seed) for s in orbit) == zero_at_finite
+
+
+@pytest.mark.parametrize("columns, size", [
+    (((0.0, 0.0), (0.2, 0.2), (0.1, 0.4)), 5),
+    (((0.0, 0.0), (0.0, 0.3), (0.1, 0.4)), 8),
+    (((0.0, 0.3), (0.1, 0.4), (0.2, 0.65)), 12),
+    (((0.0, 0.0), (0.0, 0.3), (0.1, 0.57)), 16),
+])
+def test_kummer_orbit_degenerate_sizes(columns, size):
+    # equal exponent differences make substitutions coincide: a zero
+    # difference merges the two choices at its column, two equal
+    # differences merge the placements that swap their pairs
+    seed = RiemannScheme(columns=tuple(zip((0j, 1 + 0j, INFINITY), columns)))
+    orbit = kummer_orbit(seed)
+    assert len(orbit) == size
+    for member in orbit:
+        assert len(kummer_orbit(member)) == size
+
+
 # ------------------------------------------------------------ CompanionSystem
 
 def test_companion_of_trivial_equation():
