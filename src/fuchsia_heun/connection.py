@@ -163,26 +163,7 @@ class RiemannScheme:
         return RiemannScheme(tuple(cols), tuple(app))
 
     def close_to(self, other: "RiemannScheme", tol: float = SCHEME_TOL) -> bool:
-        a, b = self.normalized(), other.normalized()
-        if len(a.columns) != len(b.columns):
-            return False
-        if len(a.apparent_points) != len(b.apparent_points):
-            return False
-        for (p1, es1), (p2, es2) in zip(a.columns, b.columns):
-            if (p1 == INFINITY) != (p2 == INFINITY):
-                return False
-            if p1 != INFINITY and abs(p1 - p2) > tol * max(1.0, abs(p1)):
-                return False
-            for x, y in zip(es1, es2):
-                if abs(x - y) > tol * max(1.0, abs(x)):
-                    return False
-        for (p1, es1), (p2, es2) in zip(a.apparent_points, b.apparent_points):
-            if abs(p1 - p2) > tol * max(1.0, abs(p1)):
-                return False
-            for x, y in zip(es1, es2):
-                if abs(x - y) > tol * max(1.0, abs(x)):
-                    return False
-        return True
+        return _fields_close(self.normalized(), other.normalized(), tol)
 
     def exponent_sum(self) -> complex:
         s = sum(e1 + e2 for _, (e1, e2) in self.columns)
@@ -206,6 +187,29 @@ class RiemannScheme:
             ],
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _fields_close(a: RiemannScheme, b: RiemannScheme, tol: float) -> bool:
+    """Field-by-field comparison of two already normalized schemes."""
+    if len(a.columns) != len(b.columns):
+        return False
+    if len(a.apparent_points) != len(b.apparent_points):
+        return False
+    for (p1, es1), (p2, es2) in zip(a.columns, b.columns):
+        if (p1 == INFINITY) != (p2 == INFINITY):
+            return False
+        if p1 != INFINITY and abs(p1 - p2) > tol * max(1.0, abs(p1)):
+            return False
+        for x, y in zip(es1, es2):
+            if abs(x - y) > tol * max(1.0, abs(x)):
+                return False
+    for (p1, es1), (p2, es2) in zip(a.apparent_points, b.apparent_points):
+        if abs(p1 - p2) > tol * max(1.0, abs(p1)):
+            return False
+        for x, y in zip(es1, es2):
+            if abs(x - y) > tol * max(1.0, abs(x)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -478,7 +482,8 @@ def kummer_orbit(s: RiemannScheme) -> list:
                     (p1, tuple(e - s1 for e in pairs[j])),
                     (INFINITY, tuple(e + s0 + s1 for e in pairs[k])),
                 )).normalized()
-                if not any(cand.close_to(known) for known in orbit):
+                if not any(_fields_close(cand, known, SCHEME_TOL)
+                           for known in orbit):
                     orbit.append(cand)
     return orbit
 

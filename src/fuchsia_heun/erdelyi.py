@@ -45,6 +45,7 @@ import numpy as np
 from .connection import HeunParameters
 from .hypergeom import HypergeometricParameters, gauss_2f1
 from .numkit import (
+    ArithmeticGuard,
     PreconditionError,
     ROOT_TOL,
     eig_small,
@@ -359,8 +360,9 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
         Truncation depth d of the seeding table and of the first Newton pass.
     box : tuple or None
         (re_min, re_max, im_min, im_max); only eigenvalues and roots inside
-        it are kept.  None requires epsilon = -m and seeds from the
-        eigenvalues of the terminating matrix.
+        it are kept.  None requires epsilon = -m, seeds from the
+        eigenvalues of the terminating matrix and raises ArithmeticGuard
+        unless all m + 1 roots are certified.
     tol : float
         Depth-doubling stability tolerance.
 
@@ -407,6 +409,10 @@ def accessory_roots_cf(h: HeunParameters, depth: int = CF_DEFAULT_DEPTH,
             z1 = z2
         if inside(z1) and all(abs(z1 - r) > tol * max(1.0, abs(r)) for r in roots):
             roots.append(z1)
+    if box is None and len(roots) != len(T):
+        raise ArithmeticGuard(
+            "continued fraction certified %d of %d terminating roots"
+            % (len(roots), len(T)))
     return sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 

@@ -1,19 +1,28 @@
 """Residue-direction derivative operator on negative-power sections.
 
-On the basis e_k = A_a s / (x - a)^k, k = 0..m, the covariant derivative
-in the direction of the a-residue acts tridiagonally; its eigenvalues
-are exactly {0, 1, ..., m} for every a outside {0, 1}, which is the
-equally-spaced spectrum the accessory-parameter sets are calibrated
-against.
+On the basis e_j = A_a s / (x - a)^j, j = 0..m, the covariant derivative
+in the direction of the a-residue acts tridiagonally.  With u = 1/(x - a)
+(e_j <-> u^j) it is the operator
+
+    f -> -(1 + a u)(1 + (a-1) u) f' + m a (1 + (a-1) u) f
+
+on polynomials of degree <= m in u, and its eigenfunctions are known in
+closed form: (1 + a u)^(m-k) (1 + (a-1) u)^k has eigenvalue k.  As a
+section this is x^(m-k) (x-1)^k / (x-a)^m A_a s, so the eigenvalue counts
+the order of vanishing at x = 1, traded against the order at x = 0.  The
+m + 1 eigenvectors are nonzero with distinct eigenvalues, so the spectrum
+is exactly {0, 1, ..., m} for every a: the equally-spaced spectrum the
+accessory-parameter sets are calibrated against.  `nabla_v_spectrum`
+checks each closed-form pair against the float matrix by its residual.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb, sqrt
 
 import numpy as np
 
-from .numkit import LINALG_TOL, PreconditionError
+from .numkit import PreconditionError
 
 SPECTRUM_TOL = 1e-8
 
@@ -21,7 +30,6 @@ __all__ = [
     "SPECTRUM_TOL",
     "NablaVMatrix",
     "SpectrumViolationError",
-    "DefectError",
     "nabla_v_matrix",
     "nabla_v_spectrum",
     "eigensection_coeffs",
@@ -31,10 +39,6 @@ __all__ = [
 
 class SpectrumViolationError(ArithmeticError):
     """Computed spectrum deviates from {0..m}; indicates a bug or near-degenerate a."""
-
-
-class DefectError(ArithmeticError):
-    """Requested eigenvalue is defective within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -88,161 +92,54 @@ class SpectrumCheck:
         return max(self.deviations)
 
 
-def _dyadic(x: float):
-    """x as (numerator, exponent) with x = numerator / 2**exponent, exact."""
-    fr = Fraction(x)
-    return fr.numerator, fr.denominator.bit_length() - 1
-
-
-def _exact_char_coeffs(a: complex, m: int):
-    """Ascending coefficients of det(lam I - T) for the tridiagonal operator.
-
-    Storing the matrix in floats rounds each entry by ~eps, and the
-    operator is so far from normal at larger |a| and m that those
-    roundings move eigenvalues by more than any useful tolerance (the
-    exact constant coefficient of the rounded matrix at |a| ~ 10, m = 12
-    is ~1e9 instead of 0).  a itself is an exact dyadic rational, so the
-    characteristic polynomial is computed here over Gaussian integers
-    after clearing the power-of-two denominator: substituting
-    lam = Lam / 2**t turns every determinant ingredient into an exact
-    integer, and the result carries no roundoff at all.
-
-    Returns (pairs, t, n): integer (re, im) coefficient pairs of the
-    scaled polynomial p_hat(Lam), the exponent t, and the degree n, with
-    true coefficients c_i = pairs[i] * 2**(t*(i-n)).
-    """
-    pr, er = _dyadic(float(a.real))
-    pi, ei = _dyadic(float(a.imag))
-    t = max(er, ei, 0)
-    P = pr << (t - er)
-    Q = pi << (t - ei)
-    one = 1 << t
-    # 2**(2t) * a * (a-1), exact
-    g_re = P * P - Q * Q - P * one
-    g_im = 2 * P * Q - Q * one
-    n = m + 1
-    diag = [((m - 2 * k) * P + k * one, (m - 2 * k) * Q) for k in range(n)]
-    # product of the k-th subdiagonal/superdiagonal pair, scaled by 2**(2t):
-    # (a(a-1)(m-k+1)) * (-k)
-    pair = [(-k * (m - k + 1) * g_re, -k * (m - k + 1) * g_im)
-            for k in range(n)]
-    f_prev = [(1, 0)]
-    f_curr = [(-diag[0][0], -diag[0][1]), (1, 0)]
-    for k in range(1, n):
-        dre, dim_ = diag[k]
-        sre, sim = pair[k]
-        nxt = [(0, 0)] * (k + 2)
-        for i, (cre, cim) in enumerate(f_curr):
-            xre, xim = nxt[i + 1]
-            nxt[i + 1] = (xre + cre, xim + cim)
-            xre, xim = nxt[i]
-            nxt[i] = (xre - (dre * cre - dim_ * cim),
-                      xim - (dre * cim + dim_ * cre))
-        for i, (cre, cim) in enumerate(f_prev):
-            xre, xim = nxt[i]
-            nxt[i] = (xre - (sre * cre - sim * cim),
-                      xim - (sre * cim + sim * cre))
-        f_prev, f_curr = f_curr, nxt
-    return f_curr, t, n
-
-
-def _int_to_longdouble(c: int, shift: int):
-    """c * 2**shift in 80-bit precision, keeping the top 62 bits of c."""
-    if c == 0:
-        return np.longdouble(0.0)
-    mag = abs(c)
-    drop = max(0, mag.bit_length() - 62)
-    val = np.longdouble(mag >> drop) * np.longdouble(2.0) ** (drop + shift)
-    return -val if c < 0 else val
-
-
-def _charpoly_eigenvalues(a: complex, m: int):
-    """Eigenvalues of the operator at the exact dyadic value of a.
-
-    Exact characteristic polynomial, float companion roots as starting
-    points, then Newton polish in extended precision on the exact
-    coefficients.
-    """
-    pairs, t, n = _exact_char_coeffs(a, m)
-    re_ld = np.empty(n + 1, dtype=np.longdouble)
-    im_ld = np.empty(n + 1, dtype=np.longdouble)
-    for i, (cre, cim) in enumerate(pairs):
-        shift = t * (i - n)
-        re_ld[i] = _int_to_longdouble(cre, shift)
-        im_ld[i] = _int_to_longdouble(cim, shift)
-    coeffs = np.zeros(n + 1, dtype=np.clongdouble)
-    coeffs.real = re_ld
-    coeffs.imag = im_ld
-    deriv = coeffs[1:] * np.arange(1, n + 1, dtype=np.longdouble)
-    starts = np.roots(np.asarray(coeffs, dtype=complex)[::-1])
-    z = np.asarray(starts, dtype=np.clongdouble)
-    for _ in range(4):
-        p = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            p = p * z + c
-        dp = np.zeros_like(z)
-        for c in deriv[::-1]:
-            dp = dp * z + c
-        safe = dp != 0
-        z = np.where(safe, z - p / np.where(safe, dp, 1.0), z)
-    return [complex(v) for v in z]
+def _eigensection(a: complex, m: int, k: int) -> np.ndarray:
+    """u-coefficients of (1 + a u)^(m-k) (1 + (a-1) u)^k, u = 1/(x - a)."""
+    left = np.array([comb(m - k, i) * a ** i for i in range(m - k + 1)])
+    right = np.array([comb(k, i) * (a - 1.0) ** i for i in range(k + 1)])
+    return np.convolve(left, right)
 
 
 def nabla_v_spectrum(a: complex, m: int, tol: float = SPECTRUM_TOL) -> SpectrumCheck:
     """Eigenvalues of nabla_v_matrix(a, m), asserted equal to {0..m}.
 
-    The equal-spacing claim is exact, so a deviation beyond tol raises
-    SpectrumViolationError rather than returning quietly.
+    Each closed-form eigensection v_k is checked against the float matrix
+    M: the value is its Rayleigh quotient and the deviation the residual
+    |M v_k - k v_k| / |v_k|, or |value - k| where rounding makes that the
+    larger.  A deviation beyond tol raises SpectrumViolationError rather
+    than returning quietly.
     """
     nv = nabla_v_matrix(a, m)
-    vals = _charpoly_eigenvalues(nv.a, m)
-    ordered = sorted(vals, key=lambda z: z.real)
-    devs = [abs(v - k) for k, v in enumerate(ordered)]
+    M = np.asarray(nv.entries)
+    values, devs = [], []
+    for k in range(m + 1):
+        v = _eigensection(nv.a, m, k)
+        r = M @ v - k * v
+        vv = float(np.vdot(v, v).real)
+        value = k + complex(np.vdot(v, r)) / vv
+        values.append(value)
+        devs.append(max(float(np.linalg.norm(r)) / sqrt(vv), abs(value - k)))
     worst = max(devs)
     if worst > tol:
         raise SpectrumViolationError(
             "spectrum deviates from {0..%d} by %.3e (a=%r)" % (m, worst, a))
-    return SpectrumCheck(values=tuple(ordered), deviations=tuple(devs))
+    return SpectrumCheck(values=tuple(values), deviations=tuple(devs))
 
 
-def eigensection_coeffs(a: complex, m: int, k: int, tol: float = LINALG_TOL):
-    """Eigenvector of the tridiagonal operator for eigenvalue k.
+def eigensection_coeffs(a: complex, m: int, k: int):
+    """Eigenvector of the tridiagonal operator for eigenvalue k, in closed form.
 
-    Returns c_0..c_m with c_0 = 1 when c_0 is nonzero (otherwise scaled
-    by its largest entry); these are the coefficients of the section
-    sum_j c_j A_a s/(x-a)^j.  The eigenvalue is identified on the exact
-    spectrum and the vector obtained by inverse iteration.
+    Returns c_0..c_m, the coefficients of the section sum_j c_j A_a s/(x-a)^j:
+    the u-coefficients of (1 + a u)^(m-k) (1 + (a-1) u)^k with u = 1/(x - a),
+
+        c_j = sum_i C(m-k, i) a^i C(k, j-i) (a-1)^(j-i),   c_0 = 1.
+
+    As a section this is x^(m-k) (x-1)^k / (x-a)^m A_a s, so k is the order
+    of vanishing at x = 1, traded one for one against the order at x = 0.
     """
     if not (0 <= k <= m):
         raise PreconditionError("k must lie in 0..m")
-    nv = nabla_v_matrix(a, m)
-    M = np.asarray(nv.entries)
-    vals = _charpoly_eigenvalues(nv.a, m)
-    close = [v for v in vals if abs(v - k) <= max(tol, SPECTRUM_TOL)]
-    if not close:
-        raise SpectrumViolationError(
-            "no eigenvalue within %r of %d" % (max(tol, SPECTRUM_TOL), k))
-    if len(close) > 1:
-        # distinct integers 0..m force simplicity; a numerical tie means a
-        # defective cluster (a close to {0,1})
-        raise DefectError("eigenvalue %d is numerically defective" % k)
-    lam = close[0]
-    shifted = M - lam * np.eye(m + 1)
-    v = np.ones(m + 1, dtype=complex)
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            v_new = np.linalg.solve(
-                shifted + jitter * np.eye(m + 1), v)
-        except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-14 * float(np.linalg.norm(M)))
-            continue
-        v = v_new / np.max(np.abs(v_new))
-    if abs(v[0]) > 1e-10 * float(np.max(np.abs(v))):
-        v = v / v[0]
-    else:
-        v = v / v[np.argmax(np.abs(v))]
-    return [complex(c) for c in v]
+    nv = nabla_v_matrix(a, m)  # refuses m < 1 and a in {0, 1}
+    return [complex(c) for c in _eigensection(nv.a, m, k)]
 
 
 def filtration_shift(eigs) -> tuple:

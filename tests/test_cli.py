@@ -63,6 +63,39 @@ def test_single_sample_on_the_cut(capsys):
     assert out.splitlines()[1:] == ["1.0,0.0,1.0"]
 
 
+# ---------------------------------------------------------- spectrum, qset
+
+def test_spectrum_eigenvectors_satisfy_the_printed_matrix(capsys):
+    code, out, _ = _run(capsys, "spectrum", "--a=5,5", "--m=12")
+    assert code == 0
+    payload = json.loads(out)
+    M = np.array([[complex(*z) for z in row] for row in payload["matrix"]])
+    norm_m = np.linalg.norm(M)
+    assert len(payload["eigenvectors"]) == 13
+    for k, vec in enumerate(payload["eigenvectors"]):
+        v = np.array([complex(*z) for z in vec])
+        resid = np.linalg.norm(M @ v - k * v)
+        assert resid <= 1e-12 * norm_m * np.linalg.norm(v)
+    for k, (v, d) in enumerate(zip(payload["eigenvalues"], payload["deviations"])):
+        assert abs(complex(*v) - k) <= d <= 1e-12
+
+
+_PARTIAL_CF_FLAGS = ["--a=2.37655543001637,-0.1282601886251169",
+                     "--alpha=-0.3545416317252357,-0.132944632739536",
+                     "--gamma=0.30389567012329965,-0.03295421647041208",
+                     "--delta=0.5036386071663627,0.03209841124469548",
+                     "--epsilon=-8"]
+
+
+def test_qset_partial_continued_fraction_set_exits_2(capsys):
+    # the continued fraction certifies only 2 of the 9 roots at this m = 8
+    # set (a benchmark draw), so the set is refused, not printed short
+    code, out, err = _run(capsys, "qset", *_PARTIAL_CF_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert "of 9" in err
+
+
 # ------------------------------------------------------------------ expand
 
 _GEN_FLAGS = ["--a=0.25", "--alpha=0.33", "--gamma=0.41", "--delta=0.57",

@@ -41,6 +41,7 @@ from fuchsia_heun.erdelyi import _cf_slope, _lists, _row_table, _sum_coefficient
 from fuchsia_heun.frobenius import apparent_q_set
 from fuchsia_heun.frobenius import local_series
 from fuchsia_heun.hypergeom import gauss_2f1
+from fuchsia_heun.numkit import ArithmeticGuard
 
 ROW_MATCH_TOL = 1e-12
 CF_ROOT_TOL = 1e-8
@@ -282,6 +283,18 @@ def test_three_way_terminating_agreement():
     assert len(s_matrix) == len(s_cf) == len(s_frob) == 3
     assert multiset_gap(s_matrix, s_cf) < 1e-7
     assert multiset_gap(s_matrix, s_frob) < 1e-7
+
+
+def test_partial_terminating_set_is_refused():
+    # an m = 8 draw of the benchmark's q-set generator: Newton on the
+    # fraction certifies only 2 of the 9 roots the other methods find
+    h = _heun(a=2.37655543001637 - 0.1282601886251169j, q=0.0,
+              alpha=-0.3545416317252357 - 0.132944632739536j,
+              gamma=0.30389567012329965 - 0.03295421647041208j,
+              delta=0.5036386071663627 + 0.03209841124469548j, epsilon=-8.0)
+    assert len(apparent_q_set(h)) == len(terminating_accessory_set(h)) == 9
+    with pytest.raises(ArithmeticGuard, match="certified 2 of 9"):
+        accessory_roots_cf(h)
 
 
 def test_box_returns_every_root_of_the_table_spectrum():
