@@ -4,13 +4,13 @@ Four regular singular points (0, 1, a, infinity), 2x2 residue matrices,
 and the scalar second-order picture side by side: degeneration detection,
 accessory-parameter spectra by three independent constructions, merged
 hypergeometric expansions with convergence-domain tests, numerical
-monodromy along explicit loops, q-set inclusion checks, and the sixth
-Painleve correspondence.
+monodromy along explicit loops, Takemura's q-set inclusion carried by
+the Taylor-shift identity T_a S = S T_p, and the sixth Painleve
+correspondence.
 
 The path integrator is pure Python; ``backend()`` reports its name.
-Importing the package loads numpy but not scipy: scipy is imported only
-inside ``takemura.inclusion_check`` (the assignment solver) and the
-MERGE_AT_0 expansion prefactor in ``erdelyi`` (log-Gamma).
+Importing the package loads numpy but not scipy: only the MERGE_AT_0
+expansion prefactor in ``erdelyi`` imports it (log-Gamma).
 """
 
 from .conditions import (

@@ -48,8 +48,8 @@ from .numkit import (
     ArithmeticGuard,
     PreconditionError,
     ROOT_TOL,
-    eig_small,
     near_integer,
+    sorted_eigenpairs,
 )
 
 CF_DEFAULT_DEPTH = 48
@@ -307,8 +307,7 @@ def _tridiagonal(rows) -> np.ndarray:
 def terminating_accessory_set(h: HeunParameters):
     """Terminating accessory values for epsilon = -m: the eigenvalues of the
     terminating matrix, as a sorted list."""
-    vals = [complex(lam) for lam, _ in eig_small(terminating_accessory_matrix(h))]
-    return sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+    return [q for q, _ in sorted_eigenpairs(terminating_accessory_matrix(h))]
 
 
 def _cf_slope(rows, q: complex):

@@ -26,20 +26,20 @@ from .numkit import (
     CPoly,
     INTEGER_TOL,
     PreconditionError,
-    eig_small,
     near_integer,
+    sorted_eigenpairs,
 )
 
-RECURRENCE_TOL = 1e-12
 OBSTRUCTION_TOL = 1e-8
 
 __all__ = [
-    "RECURRENCE_TOL",
     "OBSTRUCTION_TOL",
     "LocalSeries",
     "LogarithmicCaseError",
     "local_series",
+    "polynomial_q_matrix",
     "polynomial_q_set",
+    "apparent_q_matrix",
     "apparent_q_set",
     "is_apparent",
     "heun_operator_polys",
@@ -222,12 +222,12 @@ def _snap_nonpositive_int(value: complex, name: str) -> int:
     return -n
 
 
-def polynomial_q_set(h: HeunParameters):
-    """Accessory values q admitting a polynomial solution of degree n = -alpha.
+def polynomial_q_matrix(h: HeunParameters) -> np.ndarray:
+    """Matrix whose eigenvalues are the q admitting a polynomial solution.
 
     The truncation y = c_0 + ... + c_n x^n closes exactly when c_{n+1} = 0.
     Rewriting the x = 0 recurrence rows with c_{n+1} = 0 as q c = T c gives
-    an (n+1) x (n+1) tridiagonal matrix whose eigenvalues are the q set:
+    an (n+1) x (n+1) tridiagonal matrix; its eigenvectors are the c:
 
         T[j, j]   = -j((j-1)(1+a) + gamma(1+a) + delta a + eps)
         T[j, j+1] = a (j+1)(j + gamma)
@@ -243,13 +243,16 @@ def polynomial_q_set(h: HeunParameters):
             T[j, j + 1] = a * (j + 1) * (j + ga)
         if j - 1 >= 0:
             T[j, j - 1] = (j - 1 + al) * (j - 1 + be)
-    vals = [lam for lam, _ in eig_small(T)]
-    return sorted((complex(v) for v in vals),
-                  key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+    return T
 
 
-def apparent_q_set(h: HeunParameters):
-    """Accessory values q making x = a an apparent singularity, for eps = -m.
+def polynomial_q_set(h: HeunParameters):
+    """Sorted q admitting a polynomial solution of degree n = -alpha."""
+    return [q for q, _ in sorted_eigenpairs(polynomial_q_matrix(h))]
+
+
+def apparent_q_matrix(h: HeunParameters) -> np.ndarray:
+    """Matrix whose eigenvalues make x = a apparent, for eps = -m.
 
     The exponents at a are {0, m+1}; the exponent-0 series meets a
     resonance at index m+1 and the obstruction is a degree-(m+1)
@@ -275,9 +278,12 @@ def apparent_q_set(h: HeunParameters):
             T[j, j + 1] = a * (a - 1) * (j + 1) * (j + ep)
         if j - 1 >= 0:
             T[j, j - 1] = (j - 1 + al) * (j - 1 + be)
-    vals = [lam for lam, _ in eig_small(T)]
-    return sorted((complex(v) for v in vals),
-                  key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+    return T
+
+
+def apparent_q_set(h: HeunParameters):
+    """Sorted q making x = a an apparent singularity, for eps = -m."""
+    return [q for q, _ in sorted_eigenpairs(apparent_q_matrix(h))]
 
 
 def is_apparent(h: HeunParameters, q: complex, tol: float = OBSTRUCTION_TOL) -> bool:

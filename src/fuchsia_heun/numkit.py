@@ -347,6 +347,12 @@ def eig_small(M: np.ndarray, residual_tol: float = LINALG_TOL) -> list:
     return pairs
 
 
+def sorted_eigenpairs(M: np.ndarray) -> list:
+    """``eig_small``'s pairs, eigenvalue made complex, in the q-set order."""
+    return sorted(((complex(lam), v) for lam, v in eig_small(M)),
+                  key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))
+
+
 def common_eigenvector(ms: Sequence[np.ndarray], tol: float = LINALG_TOL):
     """A vector that is an eigenvector of every 2x2 matrix in ms, or None.
 

@@ -1,32 +1,34 @@
 """Inclusion between the polynomial and apparent-singularity q-sets.
 
 With epsilon = -m and alpha = -n (m, n positive integers) and beta fixed by
-the exponent-sum constraint, both accessory q-sets are finite: the
-polynomial set has n+1 members, the apparent set m+1.  For m >= n every
-polynomial q makes x = a apparent; for n >= m every apparent q admits a
-polynomial solution; for m = n the sets coincide.  ``inclusion_check``
-verifies the applicable direction numerically by optimal assignment between
-the two root lists.
+the exponent-sum constraint, the polynomial q-set has n+1 members and the
+apparent set m+1.  The smaller set lies in the larger: for m >= n every
+polynomial q makes x = a apparent, for m <= n every apparent q admits a
+polynomial solution.
 
-The assignment solver is scipy's, imported inside ``inclusion_check``; it
-and the MERGE_AT_0 prefactor in ``erdelyi`` are the only places the package
-loads scipy.
+A polynomial solution expanded at x = a is a Frobenius solution there:
+with T_p from ``polynomial_q_matrix``, T_a from ``apparent_q_matrix`` and
+the Taylor shift S[j, k] = C(k, j) a^(k-j), T_a S = S T_p.  So S maps each
+eigenvector of T_p to one of T_a with the same q (m >= n), and S^T each
+left eigenvector of T_a to one of T_p (m < n).  ``inclusion_check`` reports
+the identity's residual and pairs the two spectra through these images.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import comb
 
 import numpy as np
 
 from .connection import HeunParameters, heun_scalar, companion_system
-from .frobenius import apparent_q_set, polynomial_q_set
+from .frobenius import apparent_q_matrix, polynomial_q_matrix
 from .monodromy import fan_loop, integrate_fundamental
-from .numkit import ROOT_TOL, common_eigenvector, near_integer
+from .numkit import common_eigenvector, near_integer, sorted_eigenpairs
 
 MATCH_TOL = 1e-6
-CLUSTER_RADIUS = 10.0 * ROOT_TOL
 
 
 class HypothesisViolationError(ValueError):
@@ -44,29 +46,13 @@ class InclusionFailureError(RuntimeError):
         self.unmatched = unmatched
 
 
-def _sorted_q(values) -> tuple:
-    return tuple(sorted((complex(v) for v in values),
-                        key=lambda z: (round(z.real, 10), round(z.imag, 10))))
-
-
-def _clustered(values) -> tuple:
-    flagged = set()
-    for i, v in enumerate(values):
-        for w in values[:i]:
-            if abs(v - w) < CLUSTER_RADIUS:
-                flagged.add(v)
-                flagged.add(w)
-    return _sorted_q(flagged)
-
-
 @dataclass(frozen=True)
 class InclusionReport:
-    """Outcome of one inclusion check, with the assignment that proves it.
+    """Outcome of one inclusion check.
 
     ``matches`` pairs every member of the smaller set with its partner in
-    the larger one; ``clustered`` lists roots closer than 10x the root
-    tolerance to a sibling in the same set, for which multiset multiplicity
-    is reported but not resolved.
+    the larger one and their distance; ``certificate`` is
+    ||T_a S - S T_p|| / (||T_a|| ||S||), the residual of the identity.
     """
 
     m: int
@@ -81,30 +67,17 @@ class InclusionReport:
     q_apparent: tuple
     matches: tuple
     verdict: str
-    clustered: tuple
+    certificate: float
     tol: float
 
     def to_json(self) -> str:
-        def c(z):
-            return [z.real, z.imag]
+        def plain(v):
+            if isinstance(v, complex):
+                return [v.real, v.imag]
+            return [plain(w) for w in v] if isinstance(v, tuple) else v
 
-        payload = {
-            "m": self.m,
-            "n": self.n,
-            "a": c(self.a),
-            "gamma": c(self.gamma),
-            "delta": c(self.delta),
-            "alpha": c(self.alpha),
-            "beta": c(self.beta),
-            "epsilon": c(self.epsilon),
-            "q_poly": [c(v) for v in self.q_poly],
-            "q_apparent": [c(v) for v in self.q_apparent],
-            "matches": [[c(u), c(v), d] for u, v, d in self.matches],
-            "verdict": self.verdict,
-            "clustered": [c(v) for v in self.clustered],
-            "tol": self.tol,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({f.name: plain(getattr(self, f.name))
+                           for f in fields(self)}, sort_keys=True)
 
 
 def takemura_parameters(a, gamma, delta, m: int, n: int) -> HeunParameters:
@@ -129,32 +102,48 @@ def takemura_parameters(a, gamma, delta, m: int, n: int) -> HeunParameters:
 
 def inclusion_check(a, gamma, delta, m: int, n: int,
                     tol: float = MATCH_TOL) -> InclusionReport:
-    """Verify the applicable q-set inclusion and report the matching."""
-    # scipy.optimize takes about half a second to import; no other
-    # function of the package needs it
-    from scipy.optimize import linear_sum_assignment
+    """Verify the applicable q-set inclusion and report the matching.
 
+    Each q of the smaller set takes the unused member of the larger set
+    whose eigenvector is best aligned with the image of its own under S
+    (or S^T); a partner farther than tol raises InclusionFailureError.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not all(cmath.isfinite(complex(v)) for v in (a, gamma, delta)):
+        raise ValueError("a, gamma and delta must be finite")
     h = takemura_parameters(a, gamma, delta, m, n)
-    q_poly = _sorted_q(polynomial_q_set(h))
-    q_app = _sorted_q(apparent_q_set(h))
+    T_p, T_a = polynomial_q_matrix(h), apparent_q_matrix(h)
+    q_poly, vecs_p = zip(*sorted_eigenpairs(T_p))
+    q_app, vecs_a = zip(*sorted_eigenpairs(T_a))
+    S = np.array([[comb(k, j) * h.a ** (k - j) if j <= k else 0j
+                   for k in range(n + 1)] for j in range(m + 1)])
+    certificate = float(np.linalg.norm(T_a @ S - S @ T_p)
+                        / (np.linalg.norm(T_a) * np.linalg.norm(S)))
+    V_p, V_a = np.column_stack(vecs_p), np.column_stack(vecs_a)
     if m >= n:
         small, big, verdict = q_poly, q_app, "poly_subset_apparent"
+        images, targets = S @ V_p, V_a
     else:
+        # the rows of V^-1 are the left eigenvectors
         small, big, verdict = q_app, q_poly, "apparent_subset_poly"
+        images, targets = S.T @ np.linalg.inv(V_a).T, np.linalg.inv(V_p).T
     if m == n:
         verdict = "equal"
-    cost = np.array([[abs(u - v) for v in big] for u in small])
-    rows, cols = linear_sum_assignment(cost)
-    matches = tuple((small[i], big[j], float(cost[i, j]))
-                    for i, j in zip(rows, cols))
-    clustered = _clustered(q_poly) + _clustered(q_app)
-    unmatched = tuple(u for u, _, d in matches if d > tol)
+    images, targets = (X / np.linalg.norm(X, axis=0) for X in (images, targets))
+    alignment = np.abs(images.conj().T @ targets)
+    free, matches = list(range(len(big))), []
+    for i, u in enumerate(small):
+        j = max(free, key=lambda k: alignment[i, k])
+        free.remove(j)
+        matches.append((u, big[j], abs(u - big[j])))
+    unmatched = tuple(u for u, _, d in matches if not d <= tol)
     report = InclusionReport(m=m, n=n, a=complex(a), gamma=complex(gamma),
                              delta=complex(delta), alpha=h.alpha, beta=h.beta,
                              epsilon=h.epsilon, q_poly=q_poly,
-                             q_apparent=q_app, matches=matches,
+                             q_apparent=q_app, matches=tuple(matches),
                              verdict=verdict if not unmatched else "failed",
-                             clustered=clustered, tol=tol)
+                             certificate=certificate, tol=tol)
     if unmatched:
         raise InclusionFailureError(
             f"{len(unmatched)} root(s) of the smaller q-set found no partner "

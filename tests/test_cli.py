@@ -253,7 +253,7 @@ print(json.dumps(result))
 """
 
 
-def test_only_expand_and_takemura_load_scipy(tmp_path):
+def test_only_expand_loads_scipy(tmp_path):
     path = tmp_path / "connection.json"
     path.write_text(random_connection(np.random.default_rng(3)).to_json())
     flags, q = _terminating_case()
@@ -266,9 +266,10 @@ def test_only_expand_and_takemura_load_scipy(tmp_path):
         ("monodromy", ["monodromy", "--input=%s" % path]),
         ("pvi", ["pvi", "--theta0=0.3", "--theta1=0.45", "--thetat=0.7",
                  "--thetainf=0.55"]),
-        ("expand", ["expand", *flags, "--q=" + _cz(q), "--x=0.3,0.2"]),
         ("takemura", ["takemura", "--a=3", "--gamma=0.3,0.1",
                       "--delta=0.45", "--m=2", "--n=1"]),
+        # last: the modules a command loads stay loaded for the next
+        ("expand", ["expand", *flags, "--q=" + _cz(q), "--x=0.3,0.2"]),
     ]
     src = pathlib.Path(fuchsia_heun.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -278,10 +279,8 @@ def test_only_expand_and_takemura_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     for name in ("import", "analyze", "spectrum", "qset", "domain",
-                 "monodromy", "pvi"):
+                 "monodromy", "pvi", "takemura"):
         assert result[name] == [0, []], name
-    # the two that need scipy still work and load it on demand
+    # the one that needs scipy still works and loads it on demand
     code, loaded = result["expand"]
     assert code == 0 and "scipy.special" in loaded
-    code, loaded = result["takemura"]
-    assert code == 0 and "scipy.optimize" in loaded
