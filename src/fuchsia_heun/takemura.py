@@ -25,8 +25,8 @@ import numpy as np
 
 from .connection import HeunParameters, heun_scalar, companion_system
 from .frobenius import apparent_q_matrix, polynomial_q_matrix
-from .monodromy import fan_loop, integrate_fundamental
-from .numkit import common_eigenvector, near_integer, sorted_eigenpairs
+from .monodromy import default_basepoint, fan_loop, integrate_fundamental
+from .numkit import eig_small, near_integer, sorted_eigenpairs
 
 MATCH_TOL = 1e-6
 
@@ -156,9 +156,11 @@ def monodromy_corroboration(a, gamma, delta, m: int, n: int, q,
     """Monodromy evidence at one shared q: x = a apparent plus a fixed line.
 
     Integrates the companion system of the scalar equation around each of
-    0, 1, a.  A shared q admits a polynomial solution, whose companion
-    vector is a single-valued solution, so the three matrices must share an
-    eigenvector; the x = a monodromy must furthermore be the identity.
+    0, 1, a.  A shared q admits a polynomial solution y = sum c_k x^k (c the
+    eigenvector of T_p at q), so z = (y, y') at the basepoint is fixed by
+    every M_p: ``invariant_line`` is z, unit norm and largest entry real, if
+    ||M_p z - lam_p z|| <= tol ||M_p|| ||z|| for all p, else None.  The
+    x = a monodromy must furthermore be the identity.
     """
     base = takemura_parameters(a, gamma, delta, m, n)
     h = HeunParameters(a=base.a, q=complex(q), alpha=base.alpha,
@@ -166,11 +168,16 @@ def monodromy_corroboration(a, gamma, delta, m: int, n: int, q,
                        epsilon=base.epsilon)
     cs = companion_system(heun_scalar(h))
     pts = [0.0, 1.0, h.a]
-    mats = {p: integrate_fundamental(cs, fan_loop(pts, p)) for p in pts}
-    residual = float(np.linalg.norm(mats[h.a] - np.eye(2)))
-    line = common_eigenvector(list(mats.values()), tol)
+    mats = [integrate_fundamental(cs, fan_loop(pts, p)) for p in pts]
+    residual = float(np.linalg.norm(mats[2] - np.eye(2)))
+    _, c = min(eig_small(polynomial_q_matrix(h)), key=lambda p: abs(p[0] - q))
+    b, k = default_basepoint(pts), np.arange(len(c))
+    z = np.array([c @ b ** k, (k * c)[1:] @ b ** k[:-1]])
+    z = z * np.exp(-1j * np.angle(z[np.argmax(abs(z))])) / np.linalg.norm(z)
+    fixed = all(np.linalg.norm(M @ z - (z.conj() @ M @ z) * z)
+                <= tol * np.linalg.norm(M) for M in mats)
     return {
         "m_a_identity_residual": residual,
         "m_a_is_identity": residual <= tol,
-        "invariant_line": line,
+        "invariant_line": z if fixed else None,
     }

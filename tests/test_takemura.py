@@ -169,13 +169,12 @@ def test_swapped_eigenvectors_give_a_wrong_pairing(monkeypatch, m, n):
     assert len(info.value.unmatched) == min(m, n) + 1
 
 
-# Measured on these draws: ||M_a - I|| is at most 1.3e-8 (at (2, 1)).  The
-# line is off by 2.2e-12 and 8.6e-12 at (1, 1) and (2, 1) but by 3.0e-4 at
-# (3, 1): there ||M_0|| is 2.2e4, and the line is the eigenvector of that
-# far-from-normal matrix, while the polynomial's own companion vector is
-# fixed by M_0 to 1e-13 relative.
-IDENTITY_TOL = 1e-7
-LINE_TOL = 1e-3
+# Measured on these draws: ||M_a - I|| is at most 8.3e-11 (at (3, 1)).  The
+# line is the polynomial's own companion vector, which every M_p fixes to
+# 4e-11 relative or better, so it agrees with the vector built here to
+# rounding.
+IDENTITY_TOL = 1e-9
+LINE_TOL = 1e-9
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 1)])
@@ -194,3 +193,13 @@ def test_monodromy_corroboration_fixes_the_polynomial_line(m, n):
     z = z / z[k] * abs(z[k]) / np.linalg.norm(z)
     assert corr["invariant_line"] is not None
     assert np.linalg.norm(corr["invariant_line"] - z) <= LINE_TOL
+
+
+def test_monodromy_corroboration_refuses_a_q_off_the_set():
+    # the nearest polynomial's companion vector is not fixed at this q
+    a, gamma, delta = _draw(np.random.default_rng([2, 1, 7]))
+    q = sorted_eigenpairs(polynomial_q_matrix(
+        takemura_parameters(a, gamma, delta, 2, 1)))[0][0]
+    corr = monodromy_corroboration(a, gamma, delta, 2, 1, q + 0.3)
+    assert corr["invariant_line"] is None
+    assert not corr["m_a_is_identity"]
